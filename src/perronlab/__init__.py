@@ -58,7 +58,6 @@ from .spectral import (
     eigen,
     is_cyclic,
     mean_ergodic_projection,
-    peripheral_point_spectrum,
     peripheral_spectrum,
     rational_angle,
     rational_peripheral_point_spectrum,

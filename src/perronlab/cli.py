@@ -14,14 +14,18 @@ import numpy as np
 from .fixedspace import f_modulus, fixed_space_handle, \
     is_fixed_space_sublattice, sup_in_fixed_space
 from .gallery import case_names, run_case
-from .lattice import LatticeVector, vec
+from .lattice import vec
 from .operators import OperatorMatrix
 from .schemes import SchemeKind, builtin_scheme, pole_order_at, \
     weighted_scalar_sum, ws_bounded_probe
 from .spectral import analyze
-from .suites import run_suite, suite_names, thread_count
+from .suites import run_suite, suite_names
 
 __all__ = ["main"]
+
+
+class _InputError(Exception):
+    """Malformed command-line or file input; `main` maps it to exit code 2."""
 
 
 def _round_floats(obj):
@@ -64,15 +68,36 @@ def _emit_csv(rows: list[tuple], header: tuple, path: str | None) -> None:
 
 def _load_operator(path: str) -> OperatorMatrix:
     with open(path) as fh:
-        return OperatorMatrix.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return OperatorMatrix.from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
-def _parse_vectors(text: str) -> list[list[float]]:
-    out = []
-    for part in text.split(";"):
-        part = part.strip().strip("[]")
-        out.append([float(x) for x in part.split(",")])
-    return out
+def _parse_vectors(text: str, model) -> list:
+    """Lattice vectors of `model` from "[a,b,...];[c,d,...]"."""
+    try:
+        return [vec([float(x) for x in part.strip().strip("[]").split(",")],
+                    model=model)
+                for part in text.split(";")]
+    except ValueError as exc:
+        raise _InputError(f"malformed vector list {text!r}: {exc}") from exc
+
+
+def _parse_n_range(text: str) -> range:
+    try:
+        lo, hi = text.split(":")
+        return range(int(lo), int(hi) + 1)
+    except ValueError as exc:
+        raise _InputError(f"--n-range expects lo:hi, got {text!r}") from exc
+
+
+def _parse_complex(text: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError as exc:
+        raise _InputError(f"not a complex number: {text!r}") from exc
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -98,10 +123,7 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _cmd_spectrum(args) -> int:
     T = _load_operator(args.file)
-    n_range = None
-    if args.n_range:
-        lo, hi = args.n_range.split(":")
-        n_range = range(int(lo), int(hi) + 1)
+    n_range = _parse_n_range(args.n_range) if args.n_range else None
     if args.dim_check and args.c0_tail:
         from .gallery import c0_tail_constraints
         from .spectral import dim_estimate_check
@@ -161,7 +183,7 @@ def _cmd_ws(args) -> int:
         _emit_json({"sums": sums}, args.json)
         return 0
     if args.ws_command == "pole-order":
-        order = pole_order_at(T, complex(args.at))
+        order = pole_order_at(T, _parse_complex(args.at))
         _emit_json({"lambda": args.at, "pole_order": order}, args.json)
         return 0
     raise ValueError(f"unknown ws subcommand {args.ws_command}")
@@ -171,13 +193,11 @@ def _cmd_fixed_space(args) -> int:
     T = _load_operator(args.op)
     h = fixed_space_handle(T)
     if args.fs_command == "sup":
-        vecs = [vec(v, model=T.model) for v in _parse_vectors(args.vectors)]
-        out = sup_in_fixed_space(h, vecs)
+        out = sup_in_fixed_space(h, _parse_vectors(args.vectors, T.model))
         _emit_json({"sup": [float(x) for x in out.entries.real]}, args.json)
         return 0
     if args.fs_command == "modulus":
-        f = vec(_parse_vectors(args.vector)[0], model=T.model)
-        out = f_modulus(h, f)
+        out = f_modulus(h, _parse_vectors(args.vector, T.model)[0])
         _emit_json({"modulus": [float(x) for x in out.entries.real]},
                    args.json)
         return 0
@@ -208,7 +228,7 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = run_suite(args.suite, trials=args.trials, seed=args.seed,
-                       n=args.n, workers=thread_count())
+                       n=args.n)
     _emit_json(result.to_json(), args.json)
     print(f"{result.suite}: {result.passed}/{result.trials} pass",
           file=sys.stderr)
@@ -292,10 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (json.JSONDecodeError, FileNotFoundError, KeyError,
+            _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NotImplementedError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

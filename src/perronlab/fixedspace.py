@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeVector, NormTag, SpaceModel, entrywise_sup, modulus, vec
+from .lattice import LatticeVector, NormTag, SpaceModel, entrywise_sup, modulus
 from .operators import OperatorMatrix, is_markov, op
 
 __all__ = [
@@ -53,7 +53,6 @@ def _real_kernel_basis(A: np.ndarray, tol: float) -> np.ndarray:
     # spanning set independent of the SVD's choice of kernel vectors
     work = rows.copy()
     m, d = work.shape
-    out = []
     r = 0
     for j in range(d):
         if r >= m:
@@ -66,7 +65,6 @@ def _real_kernel_basis(A: np.ndarray, tol: float) -> np.ndarray:
         for k in range(m):
             if k != r:
                 work[k] = work[k] - work[k, j] * work[r]
-        out.append(r)
         r += 1
     return work[:r] if r else np.zeros((0, d))
 

@@ -14,10 +14,10 @@ import numpy as np
 
 from .fixedspace import fixed_space_handle, is_fixed_space_sublattice, \
     sup_in_fixed_space
-from .lattice import LatticeVector, NormTag, SpaceModel, vec
+from .lattice import NormTag, vec
 from .operators import OperatorMatrix, ShiftMultSpec, cesaro_lower_bound, \
     cesaro_mean, op, op_norm, power, shift_mult_block, symbol_power
-from .semigroup import GridFunction, SemigroupGrid, boundary_defect, \
+from .semigroup import SemigroupGrid, boundary_defect, \
     constant_one, generator_residual, grid_function, semigroup_apply
 from .spectral import daec_check, daec_check_adjoint, eigen
 
@@ -147,15 +147,7 @@ def remark_c0_operator(N: int) -> OperatorMatrix:
     constraint rows (see c0_tail_constraints)."""
     if N < 8:
         raise ValueError("N must be >= 8")
-    n = 4 + (N + 1)
-    A = np.zeros((n, n))
-    for j in range(4):
-        A[j, (j - 1) % 4] = 1.0
-    A[4, 1] = 0.5
-    A[4, 3] = 0.5
-    for k in range(1, N + 1):
-        A[4 + k, 4 + k - 1] = 1.0
-    return op(A, NormTag.SUP)
+    return op(compactification_operator(N).entries[:-1, :-1], NormTag.SUP)
 
 
 def c0_tail_constraints(dim: int, k: int) -> np.ndarray:
@@ -513,14 +505,6 @@ def _case_markov_semigroup(params: dict) -> list[Fact]:
     return facts
 
 
-def _case_power_bounded_c0(params: dict) -> list[Fact]:
-    raise NotImplementedError(
-        "power_bounded_c0 is registered but unimplemented: no explicit "
-        "formula is available for the power-bounded, non-contractive "
-        "construction"
-    )
-
-
 _REGISTRY: dict[str, tuple[Callable[[dict], list[Fact]], dict]] = {
     "fixed_space_3x3": (_case_fixed_space_3x3, {"tol": 1e-10}),
     "no_daec_4x4": (_case_no_daec_4x4, {}),
@@ -532,7 +516,6 @@ _REGISTRY: dict[str, tuple[Callable[[dict], list[Fact]], dict]] = {
     "markov_semigroup": (_case_markov_semigroup,
                          {"M": 256, "N": 256, "L": 2.0, "t": 0.3, "s": 0.4,
                           "h": 1e-3}),
-    "power_bounded_c0": (_case_power_bounded_c0, {}),
 }
 
 

@@ -6,8 +6,8 @@ space is modelled by the sup-norm, an l1-type space by the 1-norm.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -156,7 +156,8 @@ def lattice_power(f: LatticeVector, n: int) -> LatticeVector:
         raise ValueError("undefined lattice power of zero")
     out = np.zeros_like(f.entries)
     nz = a > 0
-    phase = f.entries[nz] / a[nz]
+    # real divisions: a complex division by a subnormal modulus overflows
+    phase = f.entries[nz].real / a[nz] + 1j * (f.entries[nz].imag / a[nz])
     out[nz] = phase ** n * a[nz]
     return LatticeVector(out, f.model)
 
@@ -205,7 +206,7 @@ def independence_preserved(G: Sequence[LatticeVector], n: int,
         raise ValueError("zero vector in family")
     scale = np.abs(mat).max()
     rank = int(np.linalg.matrix_rank(mat, tol=tol * max(1.0, scale)))
-    basis, _pivots = _pivot_basis(mat, tol=tol * max(1.0, scale))
+    basis, _ = _pivot_basis(mat, tol=tol * max(1.0, scale))
     powered = np.vstack([
         lattice_power(LatticeVector(row, model), n).entries for row in basis
     ])

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeVector, NormTag, SpaceModel, vector_norm
+from .lattice import LatticeVector, NormTag, SpaceModel
 
 __all__ = [
     "OperatorMatrix",
@@ -72,6 +72,8 @@ class OperatorMatrix:
         A = np.array(
             [[complex(e["re"], e.get("im", 0.0)) for e in row] for row in obj["entries"]]
         )
+        if not np.isfinite(A).all():
+            raise ValueError("operator entries must be finite")
         return OperatorMatrix(A, model)
 
 

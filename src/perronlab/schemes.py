@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import LatticeVector, NormTag, vector_norm
-from .operators import OperatorMatrix, cesaro_mean, op_norm, spectral_radius
+from .lattice import LatticeVector, vector_norm
+from .operators import OperatorMatrix, op_norm, spectral_radius
 
 __all__ = [
     "Verdict",
@@ -405,14 +405,44 @@ def monotone_orbit_report(T: OperatorMatrix, x: LatticeVector, N: int,
     return OrbitReport(tuple(float(t) for t in norms), monotone, bounded)
 
 
-def numerical_rank(A: np.ndarray, rtol_factor: float = 1e3) -> int:
+def numerical_rank(A: np.ndarray, rtol_factor: float = 1e3,
+                   s: np.ndarray | None = None) -> int:
     """Dense numerical rank: singular values below n*eps*smax*rtol_factor
-    count as zero."""
-    s = np.linalg.svd(A, compute_uv=False)
+    count as zero. s: the singular values of A, when already computed."""
+    if s is None:
+        s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     thresh = max(A.shape) * np.finfo(float).eps * s[0] * rtol_factor
     return int((s > thresh).sum())
+
+
+def _pole_order(B: np.ndarray, cap: int) -> int:
+    """Smallest m >= 1 with rank(B^m) = rank(B^(m+1)), at most cap: the
+    resolvent pole order at lam when B = lam - T.
+
+    B^m counts as zero, and so does every later power, when its largest
+    singular value is within the rounding error of the product that formed
+    it, n*eps*1e3 * ||B^(m-1)||_2 * ||B||_2; measured against its own size,
+    that noise would read as rank."""
+    if cap <= 1:
+        return 1
+    noise = max(B.shape) * np.finfo(float).eps * 1e3
+    s = np.linalg.svd(B, compute_uv=False)
+    norm_b = s[0]
+    prev = numerical_rank(B, s=s)
+    P = B
+    for m in range(2, cap + 1):
+        P = P @ B
+        bound = noise * s[0] * norm_b
+        s = np.linalg.svd(P, compute_uv=False)
+        rank = 0 if s[0] <= bound else numerical_rank(P, s=s)
+        if rank == prev:
+            return m - 1
+        if rank == 0:
+            return m
+        prev = rank
+    return cap
 
 
 def pole_order_at(T: OperatorMatrix, lam0: complex, tol: float = 1e-7) -> int:
@@ -421,13 +451,4 @@ def pole_order_at(T: OperatorMatrix, lam0: complex, tol: float = 1e-7) -> int:
     eigs = np.linalg.eigvals(T.entries)
     if np.min(np.abs(eigs - lam0)) > tol:
         raise ValueError("lambda not in spectrum")
-    A = lam0 * np.eye(T.dim) - T.entries
-    prev = numerical_rank(np.eye(T.dim))
-    P = np.eye(T.dim, dtype=complex)
-    for m in range(1, T.dim + 1):
-        P = P @ A
-        rank = numerical_rank(P)
-        if rank == prev:
-            return m - 1 if m > 1 else 1
-        prev = rank
-    return T.dim
+    return _pole_order(lam0 * np.eye(T.dim) - T.entries, T.dim)

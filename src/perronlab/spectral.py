@@ -6,16 +6,16 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .lattice import LatticeVector, SpaceModel
+from .lattice import LatticeVector
 from .operators import OperatorMatrix, op_norm, resolvent, restrict_to_ideal
-from .schemes import numerical_rank
+from .schemes import _pole_order
 
 __all__ = [
     "EigenPair",
@@ -23,7 +23,6 @@ __all__ = [
     "eigen",
     "analyze",
     "peripheral_spectrum",
-    "peripheral_point_spectrum",
     "rational_angle",
     "CyclicResult",
     "is_cyclic",
@@ -104,14 +103,6 @@ def _cluster_eigenvalues(w: np.ndarray, scale: float,
     return [np.array(c) for c in clusters]
 
 
-def _kernel_basis(A: np.ndarray, threshold: float) -> np.ndarray:
-    """Columns spanning the numerical kernel of A."""
-    _, s, vh = np.linalg.svd(A)
-    s = np.concatenate([s, np.zeros(A.shape[1] - s.shape[0])])
-    null_mask = s <= threshold
-    return vh[null_mask].conj().T
-
-
 def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair]:
     """All eigenvalues with algebraic/geometric multiplicities, geometric
     bases (via SVD kernels) and resolvent pole orders (rank stabilization)."""
@@ -128,31 +119,15 @@ def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair
         alg = len(cluster)
         B = value * np.eye(n) - A
         thresh = max(1e-8 * scale, n * _EPS * scale * 1e3)
-        kern = _kernel_basis(B, thresh)
+        _, s, vh = np.linalg.svd(B)
+        kern = vh[s <= thresh].conj().T
         if kern.shape[1] == 0:
             # fall back to the best near-null direction
-            _, _, vh = np.linalg.svd(B)
             kern = vh[-1:].conj().T
         geo = min(kern.shape[1], alg)
-        kern = kern[:, :geo]
-        basis = tuple(
-            LatticeVector(kern[:, j], T.model) for j in range(kern.shape[1])
-        )
-        # pole order: smallest m where rank(B^m) stabilizes
-        pole = 1
-        prev = numerical_rank(B)
-        P = B.copy()
-        for m in range(2, alg + 2):
-            P = P @ B
-            rank = numerical_rank(P)
-            if rank == prev:
-                pole = m - 1
-                break
-            prev = rank
-        else:
-            pole = alg
-        pole = min(pole, alg)
-        pairs.append(EigenPair(value, alg, geo, basis, pole))
+        basis = tuple(LatticeVector(kern[:, j], T.model) for j in range(geo))
+        # the pole order is at most the algebraic multiplicity
+        pairs.append(EigenPair(value, alg, geo, basis, _pole_order(B, alg)))
     pairs.sort(key=lambda p: (-abs(p.value), cmath.phase(p.value)))
     return pairs
 
@@ -214,11 +189,6 @@ def peripheral_spectrum(pairs: Sequence[EigenPair],
         return []
     r = max(abs(p.value) for p in pairs)
     return [p for p in pairs if abs(p.value) >= r - band_tol]
-
-
-# in finite dimensions every spectral value is an eigenvalue; both names are
-# exposed for API symmetry
-peripheral_point_spectrum = peripheral_spectrum
 
 
 def analyze(T: OperatorMatrix, band_tol: float = 1e-8, q_max: int = 64,

@@ -1,27 +1,25 @@
 """Seeded property suites shared by the CLI `verify` verb and the test
-battery.  Each suite runs `trials` independent samples and reports per-index
-results so parallel execution can merge deterministically."""
+battery.  Each suite runs `trials` samples in one loop; sample i draws from
+its own generator, seeded by (seed, i), so every failure is reported by the
+index that reproduces it."""
 from __future__ import annotations
 
 import cmath
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .lattice import LatticeVector, lattice_power, independence_preserved, vec
-from .operators import OperatorMatrix, op, spectral_radius
+from .lattice import lattice_power, independence_preserved, vec
+from .operators import op, spectral_radius
 from .schemes import SchemeKind, Verdict, builtin_scheme, check_ws1, \
     check_ws2, check_ws3
 from .sampling import random_markov_reducible, random_nonneg, random_stochastic
 from .spectral import daec_check, dim_estimate_check, eigen, is_cyclic, \
-    peripheral_spectrum, rational_angle
+    peripheral_spectrum
 from .fixedspace import fixed_space_handle, sup_in_fixed_space
 
-__all__ = ["SuiteResult", "run_suite", "suite_names", "thread_count"]
+__all__ = ["SuiteResult", "run_suite", "suite_names"]
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,6 @@ class SuiteResult:
             "passed": self.passed,
             "failures": [{"index": i, "reason": r} for i, r in self.failures],
         }
-
-
-def thread_count() -> int:
-    env = os.environ.get("PERRONLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _trial_perron(rng: np.random.Generator, n: int) -> str | None:
@@ -234,11 +225,11 @@ def suite_names() -> list[str]:
     return list(_TRIALS) + ["ws-coeffs"]
 
 
-def _run_indexed(suite: str, indices: list[int], seed: int, n: int
+def _run_indexed(suite: str, trials: int, seed: int, n: int
                  ) -> list[tuple[int, str]]:
     trial = _TRIALS[suite]
     failures = []
-    for i in indices:
+    for i in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         reason = trial(rng, n)
         if reason is not None:
@@ -246,24 +237,12 @@ def _run_indexed(suite: str, indices: list[int], seed: int, n: int
     return failures
 
 
-def run_suite(suite: str, trials: int = 100, seed: int = 0, n: int = 8,
-              workers: int | None = None) -> SuiteResult:
-    """Run a named suite; samples are indexed so that the result does not
-    depend on the worker count."""
+def run_suite(suite: str, trials: int = 100, seed: int = 0, n: int = 8
+              ) -> SuiteResult:
+    """Run a named suite over the sample indices 0..trials-1."""
     if suite == "ws-coeffs":
         return _suite_ws_coeffs(trials, seed, n)
     if suite not in _TRIALS:
         raise KeyError(f"unknown suite: {suite}")
-    if workers is None:
-        workers = thread_count()
-    indices = list(range(trials))
-    if workers <= 1 or trials < 8:
-        failures = _run_indexed(suite, indices, seed, n)
-    else:
-        chunks = [indices[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda c: _run_indexed(suite, c, seed, n), chunks
-            )
-        failures = sorted(f for part in parts for f in part)
+    failures = _run_indexed(suite, trials, seed, n)
     return SuiteResult(suite, trials, trials - len(failures), tuple(failures))

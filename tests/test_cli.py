@@ -113,4 +113,39 @@ def test_exit_code_parse_errors(tmp_path, capsys):
 def test_exit_code_solver_errors(swap_file, capsys):
     # pole order at a point outside the spectrum
     assert main(["ws", "pole-order", "--op", swap_file, "--at", "5"]) == 3
-    assert main(["gallery", "run", "power_bounded_c0"]) == 3
+
+
+_Z = {"re": 0.0, "im": 0.0}
+_BAD_ENTRIES = {
+    "RAGGED": [[_Z, _Z], [_Z]],
+    "WRONG_SIZE": [[_Z, _Z, _Z]] * 3,
+    "NAN": [[{"re": float("nan")}, _Z], [_Z, _Z]],
+    "INF": [[_Z, {"re": float("inf")}], [_Z, _Z]],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-space", "sup", "--op", "MARKOV", "--vectors", "[1,x,1]"],
+    ["fixed-space", "modulus", "--op", "MARKOV", "--vector", "[1,x,1]"],
+    ["fixed-space", "sup", "--op", "MARKOV", "--vectors", "[1,0]"],
+    ["ws", "pole-order", "--op", "SWAP", "--at", "one"],
+    ["spectrum", "SWAP", "--dim-check", "--n-range", "2:x"],
+    ["spectrum", "SWAP", "--dim-check", "--n-range", "3"],
+    ["spectrum", "RAGGED"],
+    ["spectrum", "WRONG_SIZE"],
+    ["spectrum", "NAN"],
+    ["ws", "pole-order", "--op", "INF", "--at", "1"],
+], ids=["vectors-token", "vector-token", "vector-length", "at", "n-range-token",
+        "n-range-colon", "ragged-entries", "wrong-size", "nan-entry",
+        "inf-entry"])
+def test_exit_code_malformed_input(argv, tmp_path, swap_file, markov_file,
+                                   capsys):
+    files = {"SWAP": swap_file, "MARKOV": markov_file}
+    for name, entries in _BAD_ENTRIES.items():
+        obj = op([[0, 1], [1, 0]]).to_json()
+        obj["entries"] = entries
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        files[name] = str(path)
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

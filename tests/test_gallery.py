@@ -22,7 +22,6 @@ from perronlab.operators import op
 def test_case_registry():
     names = case_names()
     assert "fixed_space_3x3" in names
-    assert "power_bounded_c0" in names
     with pytest.raises(KeyError):
         run_case("nonexistent")
 
@@ -59,11 +58,6 @@ def test_subgroup_case_passes():
 def test_semigroup_case_passes():
     rep = run_case("markov_semigroup", {"M": 128, "N": 128})
     assert rep.passed
-
-
-def test_power_bounded_case_unimplemented():
-    with pytest.raises(NotImplementedError):
-        run_case("power_bounded_c0")
 
 
 def test_compactification_operator_structure():

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,10 @@ from perronlab.spectral import (
     rational_peripheral_point_spectrum,
     resolvent_growth_ratio,
 )
+from perronlab.cli import main
 from perronlab.lattice import vec
+from perronlab.sampling import plant_jordan
+from perronlab.schemes import pole_order_at
 
 SWAP = op([[0, 1], [1, 0]])
 
@@ -49,6 +53,70 @@ def test_eigen_defective_block():
     assert len(pairs) == 1
     p = pairs[0]
     assert (p.alg_mult, p.geo_mult, p.pole_order) == (2, 1, 2)
+
+
+def _jordan_sum(*sizes):
+    """Exact direct sum of Jordan blocks at 1."""
+    n = sum(sizes)
+    J = np.eye(n)
+    start = 0
+    for m in sizes:
+        for i in range(start, start + m - 1):
+            J[i, i + 1] = 1.0
+        start += m
+    return J
+
+
+@pytest.mark.parametrize("sizes, expected", [
+    ((2, 1), (3, 2, 2)),
+    ((3, 1), (4, 2, 3)),
+    ((2, 2), (4, 2, 2)),
+])
+def test_eigen_jordan_direct_sums(sizes, expected):
+    # pole order strictly between 1 and the algebraic multiplicity
+    pairs = eigen(op(_jordan_sum(*sizes)))
+    assert len(pairs) == 1
+    p = pairs[0]
+    assert p.value == pytest.approx(1.0)
+    assert (p.alg_mult, p.geo_mult, p.pole_order) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigen_planted_jordan_block(m, seed):
+    T = plant_jordan(np.random.default_rng(seed), 8, m)
+    p = min(eigen(T), key=lambda q: abs(q.value - 1.0))
+    assert p.value == pytest.approx(1.0, abs=1e-6)
+    assert (p.alg_mult, p.geo_mult, p.pole_order) == (m, 1, m)
+
+
+def test_pole_order_when_cluster_fills_the_space():
+    # J2 + J1 at 1 under an orthogonal similarity: (lam - T)^2 is zero up to
+    # rounding, which must not count as rank
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    T = op(Q @ _jordan_sum(2, 1) @ Q.T)
+    pairs = eigen(T)
+    assert [(p.alg_mult, p.geo_mult, p.pole_order) for p in pairs] == [(3, 2, 2)]
+    assert pole_order_at(T, 1.0) == 2
+
+
+def test_pole_order_when_powers_shrink_without_vanishing(tmp_path, capsys):
+    # (1 - T)^3 = diag(0, 0, -1.25e-13) is small next to ||1 - T||^3 = 1 but
+    # has rank 1, like (1 - T)^2: the pole order at 1 is 2, not 3
+    T = op([[1, 1, 0], [0, 1, 0], [0, 0, 1.00005]])
+    assert pole_order_at(T, 1.0) == 2
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps(T.to_json()))
+    assert main(["ws", "pole-order", "--op", str(path), "--at", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pole_order"] == 2
+    # the same in eigen: J2 + J2 at 1 with superdiagonal 100, next to a
+    # separate eigenvalue 1.006
+    A = np.diag([1.0, 1.0, 1.0, 1.0, 1.006])
+    A[0, 1] = A[2, 3] = 100.0
+    by_value = {round(p.value.real, 3): p for p in eigen(op(A))}
+    p = by_value[1.0]
+    assert (p.alg_mult, p.geo_mult, p.pole_order) == (4, 2, 2)
+    assert by_value[1.006].alg_mult == 1
 
 
 def test_eigen_clusters_perturbed_jordan():

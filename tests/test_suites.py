@@ -32,12 +32,6 @@ def test_ws_coeffs_suite():
     assert res.ok
 
 
-def test_worker_count_does_not_change_result():
-    a = run_suite("cyclicity", trials=16, seed=3, n=6, workers=1)
-    b = run_suite("cyclicity", trials=16, seed=3, n=6, workers=4)
-    assert a == b
-
-
 def test_samplers_deterministic():
     r1 = random_nonneg(np.random.default_rng(7), 5)
     r2 = random_nonneg(np.random.default_rng(7), 5)
