@@ -100,24 +100,26 @@ def _parse_complex(text: str) -> complex:
         raise _InputError(f"not a complex number: {text!r}") from exc
 
 
+def _parse_number(text: str, item: str) -> int | float:
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    raise _InputError(f"--param {item!r}: {text!r} is not a number")
+
+
 def _parse_params(pairs: list[str]) -> dict:
+    """Gallery parameters from "k=v" items; v is a number or a comma list."""
     params = {}
     for item in pairs:
         if "=" not in item:
-            raise ValueError(f"--param expects k=v, got {item!r}")
+            raise _InputError(f"--param expects k=v, got {item!r}")
         k, v = item.split("=", 1)
         if "," in v:
-            params[k] = tuple(int(x) if x.lstrip("-").isdigit() else float(x)
-                              for x in v.split(","))
-            continue
-        for cast in (int, float):
-            try:
-                params[k] = cast(v)
-                break
-            except ValueError:
-                continue
+            params[k] = tuple(_parse_number(x, item) for x in v.split(","))
         else:
-            params[k] = v
+            params[k] = _parse_number(v, item)
     return params
 
 

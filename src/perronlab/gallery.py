@@ -224,7 +224,12 @@ def subgroup_eigenpair(q: int, p: int, N: int) -> tuple[complex, np.ndarray]:
 def subgroup_case_measures(q: int, p: int, N: int) -> tuple[float, float]:
     """(eigen-residual at truncation, far-tail magnitude) for the explicit
     eigenvector of the coupled operator."""
-    T = subgroup_operator(q, N)
+    return _subgroup_measures(subgroup_operator(q, N), q, p, N)
+
+
+def _subgroup_measures(T: OperatorMatrix, q: int, p: int,
+                       N: int) -> tuple[float, float]:
+    """subgroup_case_measures on a prebuilt T = subgroup_operator(q, N)."""
     lam, v = subgroup_eigenpair(q, p, N)
     resid = float(np.abs(T.entries @ v - lam * v).max())
     tail = float(np.abs(v[q + N // 2 :]).max())
@@ -424,9 +429,10 @@ def _case_subgroup_minus_one(params: dict) -> list[Fact]:
     if q not in (2, 3, 4, 6):
         raise ValueError("q must be one of 2, 3, 4, 6")
     tol = float(params.get("tol", 0.05))
+    T = subgroup_operator(q, N)
     facts = []
     for p in range(1, q):
-        resid, tail = subgroup_case_measures(q, p, N)
+        resid, tail = _subgroup_measures(T, q, p, N)
         lam = cmath.exp(2j * math.pi * p / q)
         facts.append(_fact(
             f"eigenvalue_p{p}_of_{q}",
@@ -437,7 +443,7 @@ def _case_subgroup_minus_one(params: dict) -> list[Fact]:
              "tail_max": tail},
             {"residual": f"<= {tol}", "tail_max": f"<= {tol}"},
             "demonstration"))
-    resid1, tail1 = subgroup_case_measures(q, 0, N)
+    resid1, tail1 = _subgroup_measures(T, q, 0, N)
     facts.append(_fact(
         "fixed_vector_tail", "the fixed vector is constant; its tail does "
         "not vanish",

@@ -79,8 +79,9 @@ class OperatorMatrix:
 
 def op(entries, norm_tag: NormTag = NormTag.SUP,
        model: SpaceModel | None = None) -> OperatorMatrix:
-    """Build an OperatorMatrix, defaulting the model from the matrix size."""
-    A = np.asarray(entries, dtype=complex)
+    """Build an OperatorMatrix, defaulting the model from the matrix size.
+    OperatorMatrix makes the complex copy."""
+    A = np.asarray(entries)
     if model is None:
         model = SpaceModel(A.shape[0], norm_tag)
     return OperatorMatrix(A, model)

@@ -108,26 +108,16 @@ def constant_one(grid: SemigroupGrid) -> GridFunction:
     return GridFunction(np.ones(grid.M), np.ones(grid.N + 1), 1.0, grid)
 
 
-def _circle_eval(f: GridFunction, thetas: np.ndarray, interp: str) -> np.ndarray:
-    """Values of the circle part at arbitrary angles.
-
-    Linear interpolation keeps nonnegative weights (order-preserving);
-    trigonometric interpolation is exact on harmonics x^m, |m| <= M/2 - 1."""
+def _circle_eval(f: GridFunction, thetas: np.ndarray) -> np.ndarray:
+    """Values of the circle part at arbitrary angles by linear interpolation,
+    which keeps nonnegative weights (order-preserving)."""
     M = f.grid.M
     t = np.asarray(thetas, dtype=float) % (2.0 * math.pi)
-    if interp == "linear":
-        pos = t / (2.0 * math.pi) * M
-        i0 = np.floor(pos).astype(int) % M
-        w = pos - np.floor(pos)
-        i1 = (i0 + 1) % M
-        return (1.0 - w) * f.circle[i0] + w * f.circle[i1]
-    if interp == "trig":
-        coeffs = np.fft.fft(f.circle) / M
-        freqs = np.fft.fftfreq(M, d=1.0 / M)
-        return np.array(
-            [np.sum(coeffs * np.exp(1j * freqs * th)) for th in t]
-        )
-    raise ValueError("interp must be 'linear' or 'trig'")
+    pos = t / (2.0 * math.pi) * M
+    i0 = np.floor(pos).astype(int) % M
+    w = pos - np.floor(pos)
+    i1 = (i0 + 1) % M
+    return (1.0 - w) * f.circle[i0] + w * f.circle[i1]
 
 
 def mu_pairing(f: GridFunction) -> complex:
@@ -144,40 +134,84 @@ def _ray_eval(f: GridFunction, xs: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _memory_integral(f: GridFunction, u: float, interp: str) -> complex:
-    """integral_0^u e^s <mu, R(s) f|circle> ds by composite trapezoid."""
-    if u <= 0:
-        return 0.0
-    n = max(4, int(math.ceil(u * f.grid.M / (2.0 * math.pi))) * 2)
+def _quadrature_nodes(u, M: int):
+    """Trapezoid panel count for the memory integral over [0, u]: about two
+    panels per circle grid step, at least four."""
+    return np.maximum(4, 2 * np.ceil(u * M / (2.0 * math.pi)))
+
+
+def _memory_integral(f: GridFunction, u: float) -> complex:
+    """integral_0^u e^s <mu, R(s) f|circle> ds by composite trapezoid on the
+    linearly interpolated circle."""
+    n = int(_quadrature_nodes(u, f.grid.M))
     s = np.linspace(0.0, u, n + 1)
     M = f.grid.M
     top = 2.0 * math.pi * (M // 4) / M
     bottom = 2.0 * math.pi * (3 * M // 4) / M
-    vals_top = _circle_eval(f, top - s, interp)
-    vals_bot = _circle_eval(f, bottom - s, interp)
+    vals_top = _circle_eval(f, top - s)
+    vals_bot = _circle_eval(f, bottom - s)
     integrand = np.exp(s) * 0.5 * (vals_top + vals_bot)
     return complex(np.trapezoid(integrand, s))
+
+
+def _trig_memory_integrals(a: np.ndarray, k: np.ndarray,
+                           us: np.ndarray) -> np.ndarray:
+    """The memory integral of every u in `us` for the trigonometric
+    interpolant with coefficients `a` at frequencies `k`.
+
+    Under R(s) the mode a_k e^{ik theta} pairs with mu to b_k e^{-iks}, where
+    b_k = a_k (i^k + (-i)^k) / 2 is a_k, 0, -a_k, 0 for k = 0, 1, 2, 3 mod 4,
+    so the integrand is sum_k b_k e^{(1-ik)s}.  Its composite trapezoid with
+    n panels of width h = u/n is sum_k b_k tau(k), where the trapezoid of the
+    geometric sequence q^m, q = e^{(1-ik)h}, is
+    tau(k) = h [(q^{n+1} - 1)/(q - 1) - (1 + q^n)/2]; |q| = e^h > 1."""
+    M = a.size
+    # even indices carry the even k; k = index (mod 4) because M % 4 == 0
+    b = a[::2] * np.tile([1.0, -1.0], M // 4)
+    w = 1.0 - 1j * k[::2]
+    h = (us / _quadrature_nodes(us, M))[:, None]
+    qn = np.exp(us[:, None] * w)
+    qm1 = np.expm1(h * w)
+    tau = h * ((qn * (1.0 + qm1) - 1.0) / qm1 - 0.5 * (1.0 + qn))
+    return tau @ b
 
 
 def semigroup_apply(grid: SemigroupGrid, t: float, f: GridFunction,
                     interp: str = "linear") -> GridFunction:
     """Evaluate the three-branch evolution formula at time t:
     rotation on the circle, right transport on the ray, and the exponential
-    memory of the circle coupling below the transport front."""
+    memory of the circle coupling below the transport front.
+
+    `interp` picks the circle interpolant between grid angles: "linear"
+    keeps nonnegative weights (order-preserving); "trig" is exact on the
+    harmonics x^m, |m| <= M/2 - 1, and costs one FFT and one inverse FFT
+    per call."""
     if f.grid != grid:
         raise ValueError("grid mismatch")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t > grid.L:
         raise ValueError("ray truncation exceeded (t > L)")
-    circle = _circle_eval(f, grid.angles - t, interp)
+    xs = grid.ray
+    ahead = xs >= t
+    behind = np.flatnonzero(~ahead)
+    us = t - xs[behind]
+    if interp == "linear":
+        circle = _circle_eval(f, grid.angles - t)
+        memory = [_memory_integral(f, u) for u in us]
+    elif interp == "trig":
+        M = grid.M
+        a = np.fft.fft(f.circle) / M
+        k = np.fft.fftfreq(M, d=1.0 / M)
+        circle = M * np.fft.ifft(a * np.exp(-1j * k * t))
+        memory = _trig_memory_integrals(a, k, us)
+    else:
+        raise ValueError("interp must be 'linear' or 'trig'")
     ray = np.empty(grid.N + 1, dtype=complex)
-    for j, x in enumerate(grid.ray):
-        if x >= t:
-            ray[j] = _ray_eval(f, np.array([x - t]))[0]
-        else:
-            u = t - x
-            ray[j] = math.exp(-u) * (f.ray[0] + _memory_integral(f, u, interp))
+    ray[ahead] = _ray_eval(f, xs[ahead] - t)
+    for j, u, mem in zip(behind, us, memory):
+        # math.exp, not np.exp: the two differ in the last bit for some u
+        ray[j] = math.exp(-u) * (f.ray[0] + mem)
     return GridFunction(circle, ray, f.infinity, grid)
 
 

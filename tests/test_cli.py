@@ -135,9 +135,12 @@ _BAD_ENTRIES = {
     ["spectrum", "WRONG_SIZE"],
     ["spectrum", "NAN"],
     ["ws", "pole-order", "--op", "INF", "--at", "1"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "N=abc"],
+    ["gallery", "run", "cesaro_unbounded_shift", "--param", "m_list=2,x"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "N"],
 ], ids=["vectors-token", "vector-token", "vector-length", "at", "n-range-token",
         "n-range-colon", "ragged-entries", "wrong-size", "nan-entry",
-        "inf-entry"])
+        "inf-entry", "param-value", "param-list-element", "param-no-equals"])
 def test_exit_code_malformed_input(argv, tmp_path, swap_file, markov_file,
                                    capsys):
     files = {"SWAP": swap_file, "MARKOV": markov_file}

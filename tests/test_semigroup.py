@@ -115,3 +115,72 @@ def test_boundary_defect_discriminates(grid):
     assert boundary_defect(grid, good) <= 0.05
     bad = grid_function(grid, lambda x: 1.0 / x ** 2, lambda r: 0.0, 0.0)
     assert boundary_defect(grid, bad) >= 0.3
+
+
+@pytest.mark.parametrize("M", [64, 256])
+@pytest.mark.parametrize("t", [0.3, 1.5])
+def test_trig_closed_form(M, t):
+    # circle 1 + x^2, ray 1: the circle rotates to 1 + e^{2i(theta - t)};
+    # mu pairs it to 1 - e^{-2is}, so a node at distance u behind the front
+    # holds 1 - e^{-u} (e^{(1-2i)u} - 1) / (1 - 2i)
+    grid = SemigroupGrid(M, M, 2.0)
+    f = grid_function(grid, lambda x: 1 + x * x, lambda r: 1.0)
+    g = semigroup_apply(grid, t, f, interp="trig")
+    tol = t * (2 * math.pi / M) ** 2 + 1e-12
+    assert np.abs(g.circle - (1 + np.exp(2j * (grid.angles - t)))).max() <= tol
+    u = np.maximum(t - grid.ray, 0.0)
+    exact = 1 - np.exp(-u) * (np.exp((1 - 2j) * u) - 1) / (1 - 2j)
+    assert np.abs(g.ray - exact).max() <= tol
+    assert g.infinity == f.infinity
+
+
+def _trig_reference(grid, t, f):
+    """Trigonometric interpolation by a Fourier sum at every point and a
+    composite trapezoid per ray node behind the front."""
+    M = grid.M
+    a = np.fft.fft(f.circle) / M
+    k = np.fft.fftfreq(M, d=1.0 / M)
+
+    def circle_at(thetas):
+        return np.array([np.sum(a * np.exp(1j * k * th)) for th in thetas])
+
+    top, bottom = 0.5 * math.pi, 1.5 * math.pi
+    ray = np.empty(grid.N + 1, dtype=complex)
+    for j, x in enumerate(grid.ray):
+        if x >= t:
+            ray[j] = np.interp(x - t, grid.ray, f.ray.real) \
+                + 1j * np.interp(x - t, grid.ray, f.ray.imag)
+            continue
+        u = t - x
+        n = max(4, int(math.ceil(u * M / (2.0 * math.pi))) * 2)
+        s = np.linspace(0.0, u, n + 1)
+        mu = 0.5 * (circle_at(top - s) + circle_at(bottom - s))
+        ray[j] = math.exp(-u) * (f.ray[0] + np.trapezoid(np.exp(s) * mu, s))
+    return circle_at(grid.angles - t), ray
+
+
+@pytest.mark.parametrize("t", [0.05, 0.7, 2.0])
+def test_trig_matches_direct_reference(t):
+    grid = SemigroupGrid(32, 32, 2.0)
+    rng = np.random.default_rng(7)
+    f = GridFunction(rng.normal(size=32) + 1j * rng.normal(size=32),
+                     rng.normal(size=33) + 1j * rng.normal(size=33),
+                     rng.normal(), grid)
+    g = semigroup_apply(grid, t, f, interp="trig")
+    circle, ray = _trig_reference(grid, t, f)
+    assert np.abs(g.circle - circle).max() <= 1e-12
+    assert np.abs(g.ray - ray).max() <= 1e-12
+
+
+def test_trig_edge_times(grid):
+    f = grid_function(grid, lambda x: x.real ** 3 + 1j * x.imag,
+                      lambda r: math.cos(r))
+    assert semigroup_apply(grid, 0.0, f, interp="trig").sub(f).sup_norm() \
+        <= 1e-12
+    g = semigroup_apply(grid, 2 * math.pi / grid.M, f, interp="trig")
+    assert np.abs(g.circle - np.roll(f.circle, 1)).max() <= 1e-12
+
+
+def test_unknown_interp_rejected(grid):
+    with pytest.raises(ValueError):
+        semigroup_apply(grid, 0.5, constant_one(grid), interp="cubic")
