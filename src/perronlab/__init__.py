@@ -25,6 +25,7 @@ from .operators import (
     op,
     op_norm,
     power,
+    power_sums,
     resolvent,
     restrict_to_ideal,
     shift_mult_block,

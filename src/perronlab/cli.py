@@ -134,14 +134,8 @@ def _cmd_spectrum(args) -> int:
             T, n_range=n_range,
             constraints=c0_tail_constraints(T.dim, args.c0_tail),
         )
-        _emit_json(
-            {"dim_verdicts": [
-                {"theta": v.theta, "n": v.n, "dim_source": v.dim_source,
-                 "dim_target": v.dim_target, "ok": v.ok}
-                for v in verdicts
-            ]},
-            args.json,
-        )
+        _emit_json({"dim_verdicts": [v.to_json() for v in verdicts]},
+                   args.json)
         return 0 if all(v.ok for v in verdicts) else 1
     report = analyze(T, band_tol=args.band_tol, q_max=args.qmax,
                      n_range=n_range, dim_check=args.dim_check)

@@ -349,7 +349,8 @@ def _case_one_point_compactification(params: dict) -> list[Fact]:
 
 
 def _case_cesaro_unbounded_shift(params: dict) -> list[Fact]:
-    m_list = tuple(params.get("m_list", (2, 3, 4)))
+    m_list = params.get("m_list", (2, 3, 4))
+    m_list = (m_list,) if np.isscalar(m_list) else tuple(m_list)
     h_max = int(params.get("h_max", 4))
     j_max = int(params.get("j_max", 6))
     if any(m not in (2, 3, 4) for m in m_list):

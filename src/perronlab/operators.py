@@ -19,6 +19,7 @@ __all__ = [
     "op_norm",
     "power",
     "cesaro_mean",
+    "power_sums",
     "spectral_radius",
     "resolvent",
     "restrict_to_ideal",
@@ -119,15 +120,31 @@ def power(T: OperatorMatrix, n: int) -> OperatorMatrix:
     return OperatorMatrix(np.linalg.matrix_power(T.entries, n), T.model)
 
 
+def power_sums(T: OperatorMatrix, rows: Sequence[np.ndarray]
+               ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Weighted power sums sum_k a[k] T^k, one for each coefficient row a,
+    from a single walk over T^0..T^L (L + 1 the length of the longest row),
+    and the norm of each power on the walk.  Every sum adds its terms in
+    index order, so it does not depend on the other rows beside it."""
+    length = max((len(a) for a in rows), default=0)
+    sums = [np.zeros((T.dim, T.dim), dtype=complex) for _ in rows]
+    norms = np.empty(length)
+    cur = np.eye(T.dim, dtype=complex)
+    for k in range(length):
+        if k > 0:
+            cur = T.entries @ cur
+        norms[k] = op_norm(OperatorMatrix(cur, T.model))
+        for acc, a in zip(sums, rows):
+            if k < len(a):
+                acc += a[k] * cur
+    return sums, norms
+
+
 def cesaro_mean(T: OperatorMatrix, n: int) -> OperatorMatrix:
     """(1/n) * sum_{k=0}^{n-1} T^k by accumulation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = np.eye(T.dim, dtype=complex)
-    cur = np.eye(T.dim, dtype=complex)
-    for _ in range(n - 1):
-        cur = T.entries @ cur
-        acc += cur
+    (acc,), _ = power_sums(T, [np.ones(n)])
     return OperatorMatrix(acc / n, T.model)
 
 

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import LatticeVector, vector_norm
-from .operators import OperatorMatrix, op_norm, spectral_radius
+from .operators import OperatorMatrix, op_norm, power_sums, spectral_radius
 
 __all__ = [
     "Verdict",
@@ -263,21 +263,13 @@ def apply_weight(T: OperatorMatrix, s: CoeffStream, K: int
                  ) -> tuple[OperatorMatrix, TailReport]:
     """Truncated weighted power sum  sum_{k<=K} a_k T^k.
 
-    Requires spectral radius <= 1 (up to 1e-8); the calculus is only used on
+    Requires spectral radius <= 1 (up to 1e-4); the calculus is only used on
     that normalization."""
     r = spectral_radius(T)
     # defective eigenvalues on the unit circle overshoot by ~eps^(1/m)
     if r > 1.0 + 1e-4:
         raise ValueError("spectral radius exceeds 1")
-    coeffs = s.coeffs(K)
-    acc = np.zeros((T.dim, T.dim), dtype=complex)
-    cur = np.eye(T.dim, dtype=complex)
-    norms = np.empty(K + 1)
-    for k in range(K + 1):
-        if k > 0:
-            cur = T.entries @ cur
-        norms[k] = op_norm(OperatorMatrix(cur, T.model))
-        acc += coeffs[k] * cur
+    (acc,), norms = power_sums(T, [s.coeffs(K)])
     max_norm = float(norms.max())
     growth = bool(norms[-1] > 2.0 * max(1.0, norms[: max(1, K // 2)].max()))
     mass = s.tail_bound(K) if s.tail_bound is not None else None
@@ -296,29 +288,6 @@ class ProbeReport:
     verdict: str  # bounded-evidence | growth-evidence | inconclusive
 
 
-def _family_operator_norms(T: OperatorMatrix, fam: SchemeFamily, K: int,
-                           budget: int) -> tuple[tuple, list[float]]:
-    indices = fam.index_set[:budget]
-    norms = []
-    if fam.kind is SchemeKind.CESARO:
-        # exact: finitely supported coefficients reproduce the Cesaro mean
-        acc = np.eye(T.dim, dtype=complex)
-        cur = np.eye(T.dim, dtype=complex)
-        by_j = {}
-        jmax = max(indices)
-        for n in range(1, jmax + 1):
-            if n > 1:
-                cur = T.entries @ cur
-                acc += cur
-            by_j[n] = op_norm(OperatorMatrix(acc / n, T.model))
-        norms = [by_j[j] for j in indices]
-    else:
-        for j in indices:
-            fT, _ = apply_weight(T, fam.stream(j), K)
-            norms.append(op_norm(fT))
-    return indices, norms
-
-
 def ws_bounded_probe(T: OperatorMatrix, fam: SchemeFamily, K: int = 200,
                      budget: int = 20) -> ProbeReport:
     """Evaluate ||f_j(T)|| along the family prefix and classify the trend.
@@ -332,7 +301,16 @@ def ws_bounded_probe(T: OperatorMatrix, fam: SchemeFamily, K: int = 200,
     # defective eigenvalues on the unit circle overshoot by ~eps^(1/m)
     if r > 1.0 + 1e-4:
         raise ValueError("spectral radius exceeds 1")
-    indices, norms = _family_operator_norms(T, fam, K, budget)
+    indices = fam.index_set[:budget]
+    if fam.kind is SchemeKind.CESARO:
+        # unit rows divided by their order reproduce the running mean exactly
+        sums, _ = power_sums(T, [np.ones(j) for j in indices])
+        sums = [acc / j for acc, j in zip(sums, indices)]
+    else:
+        # a row ends at its last nonzero coefficient: the walk stops there
+        sums, _ = power_sums(T, [np.trim_zeros(fam.stream(j).coeffs(K), "b")
+                                 for j in indices])
+    norms = [op_norm(OperatorMatrix(acc, T.model)) for acc in sums]
     arr = np.array(norms)
     n = len(arr)
     if n < 6:

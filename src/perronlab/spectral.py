@@ -146,6 +146,10 @@ class DimVerdict:
     dim_target: int
     ok: bool
 
+    def to_json(self) -> dict:
+        return {"theta": self.theta, "n": self.n, "dim_source": self.dim_source,
+                "dim_target": self.dim_target, "ok": self.ok}
+
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -170,16 +174,7 @@ class SpectralReport:
                 if self.cyclic.witness is None
                 else {"re": self.cyclic.witness.real, "im": self.cyclic.witness.imag},
             }
-        out["dim_verdicts"] = [
-            {
-                "theta": v.theta,
-                "n": v.n,
-                "dim_source": v.dim_source,
-                "dim_target": v.dim_target,
-                "ok": v.ok,
-            }
-            for v in self.dim_verdicts
-        ]
+        out["dim_verdicts"] = [v.to_json() for v in self.dim_verdicts]
         return out
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,13 +35,13 @@ def test_spectrum_json_deterministic(swap_file, tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["spectrum", swap_file, "--dim-check", "--json", p1]) == 0
     assert main(["spectrum", swap_file, "--dim-check", "--json", p2]) == 0
-    assert open(p1).read() == open(p2).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
 
 
 def test_spectrum_csv(swap_file, tmp_path):
     p = str(tmp_path / "eigs.csv")
     assert main(["spectrum", swap_file, "--csv", p]) == 0
-    lines = open(p).read().strip().splitlines()
+    lines = Path(p).read_text().strip().splitlines()
     assert lines[0] == "re,im,alg_mult,geo_mult,pole_order"
     assert len(lines) == 3
 
@@ -152,3 +153,13 @@ def test_exit_code_malformed_input(argv, tmp_path, swap_file, markov_file,
         files[name] = str(path)
     assert main([files.get(a, a) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gallery_param_single_number_is_a_list(capsys):
+    argv = ["gallery", "run", "cesaro_unbounded_shift", "--param"]
+    assert main(argv + ["m_list=2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lb = next(f for f in out["facts"] if f["id"] == "cesaro_norm_exceeds_bound")
+    assert list(lb["measured"]) == ["2"]
+    # an m outside {2, 3, 4} is rejected by the case itself
+    assert main(argv + ["m_list=5"]) == 3

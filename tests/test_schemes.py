@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from perronlab.operators import op
+from perronlab.operators import cesaro_mean, op, op_norm, power_sums, \
+    spectral_radius
 from perronlab.schemes import (
     SchemeKind,
     Verdict,
@@ -130,3 +132,88 @@ def test_abel_stream_normalization_property(lam):
     # geometric series sums to one; prefix + tail bound certificate
     assert check_ws1(s, K=200) is Verdict.PASS
     assert s.coeff(0) == pytest.approx((lam - 1.0) / lam)
+
+
+def _walk_per_index(T, fam, K, budget):
+    """The probe's norms computed one index at a time: a fresh walk over
+    T^0..T^K for every index, or one running Cesaro sum divided by n."""
+    indices = fam.index_set[:budget]
+    A = T.entries
+    if fam.kind is SchemeKind.CESARO:
+        acc = np.eye(T.dim, dtype=complex)
+        cur = np.eye(T.dim, dtype=complex)
+        by_n = {}
+        for n in range(1, max(indices) + 1):
+            if n > 1:
+                cur = A @ cur
+                acc += cur
+            by_n[n] = op_norm(op(acc / n, model=T.model))
+        return [by_n[j] for j in indices]
+    norms = []
+    for j in indices:
+        a = fam.stream(j).coeffs(K)
+        acc = np.zeros((T.dim, T.dim), dtype=complex)
+        cur = np.eye(T.dim, dtype=complex)
+        for k in range(K + 1):
+            if k > 0:
+                cur = A @ cur
+            acc += a[k] * cur
+        norms.append(op_norm(op(acc, model=T.model)))
+    return norms
+
+
+@st.composite
+def _unit_radius_operators(draw):
+    n = draw(st.integers(1, 8))
+    A = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0),
+                    fill=st.nothing()))
+    r = spectral_radius(op(A))
+    assume(r > 0.1)
+    T = op(A / r)
+    assume(spectral_radius(T) <= 1.0 + 1e-4)
+    return T
+
+
+@pytest.mark.parametrize("K", [10, 200])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(deadline=None, max_examples=10)
+@given(T=_unit_radius_operators())
+def test_probe_norms_match_a_walk_per_index(kind, K, T):
+    fam = builtin_scheme(kind)
+    rep = ws_bounded_probe(T, fam, K=K, budget=20)
+    assert list(rep.norms) == _walk_per_index(T, fam, K, 20)
+
+
+def test_power_sums_rows_of_different_lengths():
+    T = op([[0.5, 0.5], [0.2, 0.8]])
+    a, b = np.array([0.5, 0.25, 0.25]), np.array([1.0])
+    (sa, sb), norms = power_sums(T, [a, b])
+    assert norms.shape == (3,)
+    # a stochastic matrix: every power has sup norm 1
+    assert np.allclose(norms, 1.0)
+    assert np.array_equal(sa, power_sums(T, [a])[0][0])
+    assert np.array_equal(sb, np.eye(2))
+    expected = 0.5 * np.eye(2) + 0.25 * T.entries + 0.25 * T.entries @ T.entries
+    assert np.allclose(sa, expected)
+
+
+def test_power_sums_all_zero_row():
+    T = op([[0.0, 1.0], [1.0, 0.0]])
+    (s0, s1), norms = power_sums(T, [np.zeros(0), np.zeros(4)])
+    assert norms.shape == (4,)
+    assert not s0.any() and not s1.any()
+    # powers beyond K have no coefficient in 0..K: their sum is zero
+    fam = builtin_scheme(SchemeKind.POWERS, {"count": 14})
+    rep = ws_bounded_probe(T, fam, K=10, budget=14)
+    assert rep.norms[11:] == (0.0, 0.0, 0.0)
+    assert rep.norms[:11] == (1.0,) * 11
+
+
+def test_cesaro_mean_is_the_running_sum():
+    A = np.array([[0.2, 0.7, 0.1], [0.0, 0.5, 0.5], [0.3, 0.3, 0.4]])
+    acc = np.eye(3, dtype=complex)
+    cur = np.eye(3, dtype=complex)
+    for _ in range(36):
+        cur = A @ cur
+        acc += cur
+    assert np.array_equal(cesaro_mean(op(A), 37).entries, acc / 37)
