@@ -6,6 +6,7 @@ parse errors, 3 solver or internal failure."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,42 +29,34 @@ class _InputError(Exception):
     """Malformed command-line or file input; `main` maps it to exit code 2."""
 
 
-def _round_floats(obj):
-    """Normalize floats to 17 significant digits for byte-stable output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(f"{float(obj):.17g}")
+def _json_default(obj):
+    """numpy scalars for `json.dumps`, which writes every float as the
+    shortest decimal that reads back to the same double."""
     if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return json.JSONEncoder().default(obj)  # raises json's TypeError
+
+
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(_round_floats(obj), sort_keys=True, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(obj, sort_keys=True, indent=2, default=_json_default),
+           path)
 
 
 def _emit_csv(rows: list[tuple], header: tuple, path: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-        ))
-    text = "\n".join(lines)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    lines = [",".join(header)] + [",".join(
+        f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
+    ) for row in rows]
+    _write("\n".join(lines), path)
 
 
 def _load_operator(path: str) -> OperatorMatrix:
@@ -154,9 +147,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ws(args) -> int:
     T = _load_operator(args.op)
+    if args.ws_command == "pole-order":
+        order = pole_order_at(T, _parse_complex(args.at))
+        _emit_json({"lambda": args.at, "pole_order": order}, args.json)
+        return 0
+    fam = builtin_scheme(SchemeKind(args.scheme),
+                         {"count": args.count} if args.count else None)
     if args.ws_command == "probe":
-        fam = builtin_scheme(SchemeKind(args.scheme),
-                            {"count": args.count} if args.count else None)
         rep = ws_bounded_probe(T, fam, K=args.K, budget=args.count or 20)
         _emit_json(
             {"indices": list(rep.indices), "norms": list(rep.norms),
@@ -169,18 +166,11 @@ def _cmd_ws(args) -> int:
                       args.csv)
         return 0
     if args.ws_command == "scalar-sum":
-        fam = builtin_scheme(SchemeKind(args.scheme),
-                            {"count": args.count} if args.count else None)
-        K = args.K
         powers = [float(np.abs(np.linalg.matrix_power(T.entries, k)).max())
-                  for k in range(K + 1)]
+                  for k in range(args.K + 1)]
         powers = np.maximum.accumulate(powers).tolist()
-        sums = weighted_scalar_sum(fam, powers, K)
-        _emit_json({"sums": sums}, args.json)
-        return 0
-    if args.ws_command == "pole-order":
-        order = pole_order_at(T, _parse_complex(args.at))
-        _emit_json({"lambda": args.at, "pole_order": order}, args.json)
+        _emit_json({"sums": weighted_scalar_sum(fam, powers, args.K)},
+                   args.json)
         return 0
     raise ValueError(f"unknown ws subcommand {args.ws_command}")
 
@@ -231,7 +221,9 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="perronlab",
         description="Numerical laboratory for peripheral spectra of "
@@ -304,8 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError,

@@ -355,6 +355,7 @@ def _case_cesaro_unbounded_shift(params: dict) -> list[Fact]:
     j_max = int(params.get("j_max", 6))
     if any(m not in (2, 3, 4) for m in m_list):
         raise ValueError("m_list must be within {2, 3, 4}")
+    m_list = tuple(int(m) for m in m_list)
     facts = []
 
     # closed-form power symbols against brute-force matrix powers

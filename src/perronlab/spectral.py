@@ -68,39 +68,47 @@ def _cluster_eigenvalues(w: np.ndarray, scale: float,
     compatible with the eps^(1/k) perturbation of a defective cluster of
     combined size k; repeated eigenvalues in a Jordan block would otherwise
     split into a ring and be reported with the wrong multiplicity.
+
+    Each cluster's mean is cached but always taken with `np.mean` over its
+    members, and distances use `np.hypot`, which equals the scalar complex
+    `abs` bit for bit (`np.abs` on a complex array may not).
     """
+    def dist(z: np.ndarray) -> np.ndarray:
+        return np.hypot(z.real, z.imag)
+
     order = np.argsort(w.real * 1e6 + w.imag)  # deterministic ordering
-    clusters: list[list[complex]] = []
+    clusters: list[list] = []
+    means = np.empty(len(w), dtype=w.dtype)
     for lam in w[order]:
-        placed = False
-        for c in clusters:
-            if abs(np.mean(c) - lam) <= cluster_tol:
-                c.append(lam)
-                placed = True
-                break
-        if not placed:
-            clusters.append([lam])
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = abs(np.mean(clusters[i]) - np.mean(clusters[j]))
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
+        hit = np.flatnonzero(dist(means[:len(clusters)] - lam) <= cluster_tol)
+        i = hit[0] if hit.size else len(clusters)
+        if i == len(clusters):
+            clusters.append([])
+        clusters[i].append(lam)
+        means[i] = np.mean(clusters[i])
+    n = len(clusters)
+    # distances of means i < j; a merged-away cluster keeps its index with
+    # an infinite mean, so the others keep their row-major order
+    means = means[:n]
+    D = dist(means[:, None] - means[None, :])
+    D[np.tril_indices(n)] = np.inf
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(D)), n)  # the first closest pair
         k = len(clusters[i]) + len(clusters[j])
         # a defective cluster of size >= k+1 scatters like eps^(1/(k+1));
         # the cap keeps genuinely separated eigenvalues apart
         defect_radius = min(
             30.0 * k * (_EPS * max(1.0, scale)) ** (1.0 / (k + 1)), 5e-3
         )
-        if d <= max(cluster_tol, defect_radius):
-            clusters[i].extend(clusters[j])
-            del clusters[j]
-            merged = True
-    return [np.array(c) for c in clusters]
+        if not D[i, j] <= max(cluster_tol, defect_radius):
+            break
+        clusters[i] += clusters[j]
+        clusters[j] = []
+        means[i], means[j] = np.mean(clusters[i]), np.inf
+        row = dist(means[i] - means)
+        D[j, :] = D[:, j] = np.inf
+        D[i, i + 1:], D[:i, i] = row[i + 1:], row[:i]
+    return [np.array(c) for c in clusters if c]
 
 
 def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair]:

@@ -1,10 +1,14 @@
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perronlab.cli import main
+from perronlab.cli import _build_parser, _emit_json, main
 from perronlab.gallery import example_markov_3x3, remark_c0_operator
 from perronlab.operators import op
 
@@ -163,3 +167,83 @@ def test_gallery_param_single_number_is_a_list(capsys):
     assert list(lb["measured"]) == ["2"]
     # an m outside {2, 3, 4} is rejected by the case itself
     assert main(argv + ["m_list=5"]) == 3
+
+
+@pytest.mark.parametrize("value, measured", [("2.0", ["2"]),
+                                             ("2,3.0", ["2", "3"])])
+def test_gallery_param_whole_float_m_list(value, measured, capsys):
+    argv = ["gallery", "run", "cesaro_unbounded_shift", "--param"]
+    assert main(argv + [f"m_list={value}"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lb = next(f for f in out["facts"] if f["id"] == "cesaro_norm_exceeds_bound")
+    assert list(lb["measured"]) == measured
+
+
+@pytest.mark.parametrize("value", ["2.5", "5"])
+def test_gallery_param_m_list_outside_the_case(value, capsys):
+    argv = ["gallery", "run", "cesaro_unbounded_shift", "--param"]
+    assert main(argv + [f"m_list={value}"]) == 3
+    assert capsys.readouterr().err == \
+        "error: m_list must be within {2, 3, 4}\n"
+
+
+def _round_floats(obj):
+    """The float walk `_emit_json` ran before `json.dumps`, kept as the
+    reference for the output bytes."""
+    if isinstance(obj, float):
+        return float(f"{obj:.17g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(f"{float(obj):.17g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"),
+                                  float("-inf")]),
+    st.integers(), st.booleans(), st.none(), st.text(max_size=5),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(max_size=5), kids,
+                                           max_size=4)),
+    max_leaves=20,
+)
+
+
+def _emitted(obj) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _emit_json(obj, None)
+    return buf.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_TREES)
+def test_emit_json_bytes_match_the_float_walk(obj):
+    ref = json.dumps(_round_floats(obj), sort_keys=True, indent=2)
+    assert _emitted(obj) == ref + "\n"
+
+
+def test_emit_json_rejects_numpy_bools():
+    with pytest.raises(TypeError):
+        _emitted({"ok": [1.0, np.bool_(True)]})
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # one parser serves every call; the second call gets the case defaults
+    argv = ["gallery", "run", "subgroup_minus_one"]
+    assert main(argv + ["--param", "N=64"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["N"] == 64
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"q": 4, "N": 256}
+    assert _build_parser() is _build_parser()

@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from perronlab.operators import cesaro_mean, op
 from perronlab.spectral import (
+    _EPS,
+    _cluster_eigenvalues,
     analyze,
     constrained_eigenspace_dim,
     daec_check,
@@ -130,6 +135,144 @@ def test_eigen_clusters_perturbed_jordan():
     pairs = eigen(op(Q @ J @ Q.T))
     assert len(pairs) == 1
     assert pairs[0].alg_mult == n
+
+
+def _clusters_by_loop(w, scale, cluster_tol):
+    """The pairwise loop that `_cluster_eigenvalues` replaced, verbatim: the
+    reference for its output, bit for bit."""
+    order = np.argsort(w.real * 1e6 + w.imag)  # deterministic ordering
+    clusters = []
+    for lam in w[order]:
+        placed = False
+        for c in clusters:
+            if abs(np.mean(c) - lam) <= cluster_tol:
+                c.append(lam)
+                placed = True
+                break
+        if not placed:
+            clusters.append([lam])
+    merged = True
+    while merged and len(clusters) > 1:
+        merged = False
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                d = abs(np.mean(clusters[i]) - np.mean(clusters[j]))
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        d, i, j = best
+        k = len(clusters[i]) + len(clusters[j])
+        # a defective cluster of size >= k+1 scatters like eps^(1/(k+1));
+        # the cap keeps genuinely separated eigenvalues apart
+        defect_radius = min(
+            30.0 * k * (_EPS * max(1.0, scale)) ** (1.0 / (k + 1)), 5e-3
+        )
+        if d <= max(cluster_tol, defect_radius):
+            clusters[i].extend(clusters[j])
+            del clusters[j]
+            merged = True
+    return [np.array(c) for c in clusters]
+
+
+def _assert_clusters_match_loop(w, scale, cluster_tol):
+    got = _cluster_eigenvalues(w, scale, cluster_tol)
+    want = _clusters_by_loop(w, scale, cluster_tol)
+    assert len(got) == len(want)
+    for g, e in zip(got, want):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g.view(np.int64), e.view(np.int64))
+
+
+def _assert_eigen_clusters_match_loop(A):
+    """With the scale and tolerance `eigen` passes for A."""
+    w = np.linalg.eigvals(A)
+    r = float(np.abs(w).max())
+    _assert_clusters_match_loop(w, max(1.0, float(np.abs(A).max())),
+                                1e-7 * max(1.0, r))
+
+
+@st.composite
+def _nonnegative_matrices(draw):
+    n = draw(st.integers(1, 30))
+    A = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0),
+                    fill=st.nothing()))
+    return draw(st.sampled_from([1.0, 50.0])) * A
+
+
+@settings(deadline=None, max_examples=60)
+@given(A=_nonnegative_matrices())
+def test_clusters_match_the_loop_on_nonnegative_matrices(A):
+    _assert_eigen_clusters_match_loop(A)
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_clusters_match_the_loop_on_planted_jordan_blocks(m, scale):
+    rng = np.random.default_rng(m)
+    for n in range(max(m, 2), 15):
+        for _ in range(2):
+            _assert_eigen_clusters_match_loop(
+                scale * plant_jordan(rng, n, m).entries.real)
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+def test_clusters_match_the_loop_on_exact_repeats(scale):
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3):
+        B = scale * plant_jordan(rng, 4, m).entries.real
+        _assert_eigen_clusters_match_loop(np.kron(np.eye(3), B))
+        _assert_eigen_clusters_match_loop(
+            np.kron(np.eye(3), np.abs(rng.standard_normal((4, 4)))))
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+@pytest.mark.parametrize("h", [1e-8, 1e-7, 1e-4, 3.6e-4, 5e-3])
+def test_clusters_match_the_loop_on_evenly_spaced_reals(h, scale):
+    # equal gaps between neighbours tie the closest pair
+    for n in (3, 5, 9, 20):
+        x = scale * (1.0 + h * np.arange(n))
+        for w in (x, x[::-1], x.astype(complex)):
+            _assert_clusters_match_loop(w, scale, 1e-7 * scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_clusters_match_the_loop_on_rings(m, scale):
+    # a defective eigenvalue in floating point: 1 + eps^(1/m) e^(2 pi i k/m)
+    for eps in (1e-16, 1e-14, 1e-12, 1e-10):
+        ring = 1.0 + eps ** (1.0 / m) * np.exp(2j * np.pi * np.arange(m) / m)
+        w = scale * np.concatenate([ring, ring + 1e-3, [0.5, 0.5 + 1e-9]])
+        _assert_clusters_match_loop(w, scale, 1e-7 * scale)
+
+
+# The tolerance set to a distance the loop computes, so that a mean one ulp
+# off flips the decision.  The cap on the defect radius, 5e-3, lies below
+# the tolerance, so the merge phase cannot undo the flip.
+@settings(deadline=None, max_examples=100)
+@given(st.floats(0.5, 2.0), st.floats(1e-6, 1e-3), st.floats(1e-6, 1e-3),
+       st.floats(6e-3, 5e-2))
+def test_clusters_match_the_loop_with_the_tolerance_on_a_join(x, g, h, off):
+    # three values form a cluster; the fourth joins it exactly at the
+    # tolerance
+    w = np.array([x, x + g, x + g + h, 0.0])
+    w[3] = np.mean(list(w[:3])) + off
+    tol = abs(np.mean(list(w[:3])) - w[3])
+    for v in (w, w.astype(complex)):
+        _assert_clusters_match_loop(v, 1.0, tol)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(0.5, 2.0), st.floats(-0.05, 0.05), st.floats(1e-8, 3e-8))
+def test_clusters_match_the_loop_with_the_tolerance_on_a_merge(x, jit, eps):
+    # {a, p, q} and {b} leave the join phase 0.8 tolerances apart and merge;
+    # d then lies exactly one tolerance from the merged mean
+    u = 0.01
+    a, b = complex(x), complex(x, 1.2 * u * (1 + jit))
+    p, q = complex(x + eps, 0.9 * u), complex(x + 2 * eps, 0.3 * u)
+    m = np.mean(list(np.array([a, p, q, b])))
+    d = m + u
+    tol = abs(m - np.mean([d]))
+    _assert_clusters_match_loop(np.array([a, b, p, q, d]), 1.0, tol)
 
 
 def test_peripheral_spectrum_band():
