@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from .fixedspace import fixed_space_handle, is_fixed_space_sublattice, \
     sup_in_fixed_space
@@ -19,7 +20,8 @@ from .operators import OperatorMatrix, ShiftMultSpec, cesaro_lower_bound, \
     cesaro_mean, op, op_norm, power, shift_mult_block, symbol_power
 from .semigroup import SemigroupGrid, boundary_defect, \
     constant_one, generator_residual, grid_function, semigroup_apply
-from .spectral import daec_check, daec_check_adjoint, eigen
+from .spectral import _constrain, constrained_kernel, daec_check, \
+    daec_check_adjoint, eigen
 
 __all__ = [
     "Fact",
@@ -100,44 +102,50 @@ def compactification_operator(N: int) -> OperatorMatrix:
 
     Coordinates: 4 cyclic-group points, ray nodes 0..N, one infinity node.
     The ray start is fed by the average of the group points 1 and 3."""
+    return op(_compactification_sparse(N).toarray(), NormTag.SUP)
+
+
+def _compactification_sparse(N: int) -> sparse.csr_array:
+    """compactification_operator(N) as a CSR matrix, one row per node."""
     if N < 2:
         raise ValueError("N must be >= 2")
     n = 4 + (N + 1) + 1
-    A = np.zeros((n, n))
-    for j in range(4):
-        A[j, (j - 1) % 4] = 1.0
-    A[4, 1] = 0.5
-    A[4, 3] = 0.5
-    for k in range(1, N + 1):
-        A[4 + k, 4 + k - 1] = 1.0
-    A[n - 1, n - 1] = 1.0
-    return op(A, NormTag.SUP)
+    rows = np.concatenate([np.arange(4), [4, 4], np.arange(5, n)])
+    cols = np.concatenate([(np.arange(4) - 1) % 4, [1, 3],
+                           np.arange(4, n - 2), [n - 1]])
+    data = np.concatenate([np.ones(4), [0.5, 0.5], np.ones(N + 1)])
+    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def constrained_kernel(T: OperatorMatrix, lam: complex,
-                       constraints: np.ndarray,
-                       tol: float = 1e-8) -> tuple[int, np.ndarray, float]:
-    """Kernel of (lam - T) intersected with extra linear constraint rows.
+def _compactification_kernel(N: int, lam: complex,
+                             tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal columns spanning ker(lam - T) for
+    T = compactification_operator(N) and lam^4 = 1, read off the block
+    structure instead of an SVD of the whole matrix.
 
-    The bare numerical kernel is computed first; the constraints are then
-    solved inside it.  Returns (dimension, basis columns, certificate):
-    the certificate is the smallest singular value of the constraint map
-    restricted to the bare kernel (bounded away from zero exactly when the
-    constraints kill the whole kernel), or of (lam - T) itself when the
-    bare kernel is already trivial."""
-    A = lam * np.eye(T.dim) - T.entries
-    _, s, vh = np.linalg.svd(A)
-    null_mask = s <= tol * max(1.0, s[0])
-    V = vh[null_mask].conj().T  # bare kernel, columns
-    if V.shape[1] == 0:
-        return 0, V, float(s[-1])
-    C = np.atleast_2d(constraints) @ V
-    _, sc, vc = np.linalg.svd(C)
-    sc = np.concatenate([sc, np.zeros(V.shape[1] - len(sc))])
-    keep = sc <= tol * max(1.0, sc[0] if sc.size else 0.0)
-    basis = V @ vc[keep].conj().T
-    certificate = float(sc.min()) if sc.size else 0.0
-    return basis.shape[1], basis, certificate
+    T is block lower triangular: the group block G, then the ray shift fed
+    by (f(1) + f(3))/2, then the infinity node.  The ray shift is nilpotent,
+    so lam - T is invertible on the ray, and every kernel vector is a kernel
+    vector f of lam - G carried down the ray by
+    f(ray k) = lam^-(k+1) (f(1) + f(3))/2, plus the infinity node when
+    lam = 1.  The group kernel comes from a 4x4 SVD with the cut rule of
+    constrained_kernel."""
+    if lam ** 4 != 1:
+        raise ValueError("lam must be a fourth root of unity")
+    T = _compactification_sparse(N)
+    n = T.shape[0]
+    _, s, vh = np.linalg.svd(lam * np.eye(4) - T[:4, :4].toarray())
+    F = vh[s <= tol * max(1.0, s[0])].conj().T
+    d = F.shape[1]
+    # lam^-m = conj(lam)^(m mod 4), exact for the four roots of unity
+    inv_powers = np.array([complex(lam).conjugate() ** m for m in range(4)])
+    V = np.zeros((n, d + (lam == 1)), dtype=complex)
+    V[:4, :d] = F
+    V[4:n - 1, :d] = np.outer(inv_powers[np.arange(1, N + 2) % 4],
+                              (F[1] + F[3]) / 2)
+    if lam == 1:
+        V[n - 1, d] = 1.0
+    return np.linalg.qr(V)[0]
 
 
 def remark_c0_operator(N: int) -> OperatorMatrix:
@@ -174,22 +182,23 @@ def subgroup_operator(q: int, N: int) -> OperatorMatrix:
     """Cyclic-group shift of order q coupled to the averaged tail recursion
     g_n -> n/(n+1) g_{n+1} + 1/(n+1) f(generator); truncated at length N by
     reusing the last tail coordinate."""
+    return op(_subgroup_sparse(q, N).toarray(), NormTag.SUP)
+
+
+def _subgroup_sparse(q: int, N: int) -> sparse.csr_array:
+    """subgroup_operator(q, N) as a CSR matrix, one row per coordinate."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if N < 4:
         raise ValueError("N must be >= 4")
     n = q + N
-    A = np.zeros((n, n))
-    for j in range(q):
-        A[j, (j + 1) % q] = 1.0
-    for m in range(1, N + 1):
-        row = q + m - 1
-        A[row, 1 % q] = 1.0 / (m + 1)
-        if m < N:
-            A[row, q + m] = m / (m + 1)
-        else:
-            A[row, q + m - 1] = m / (m + 1)
-    return op(A, NormTag.SUP)
+    m = np.arange(1, N + 1)
+    tail = q + m - 1
+    rows = np.concatenate([np.arange(q), tail, tail])
+    cols = np.concatenate([(np.arange(q) + 1) % q, np.full(N, 1 % q),
+                           np.minimum(q + m, n - 1)])
+    data = np.concatenate([np.ones(q), 1.0 / (m + 1), m / (m + 1)])
+    return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
 def _log_series_sum(z: complex) -> complex:
@@ -224,14 +233,14 @@ def subgroup_eigenpair(q: int, p: int, N: int) -> tuple[complex, np.ndarray]:
 def subgroup_case_measures(q: int, p: int, N: int) -> tuple[float, float]:
     """(eigen-residual at truncation, far-tail magnitude) for the explicit
     eigenvector of the coupled operator."""
-    return _subgroup_measures(subgroup_operator(q, N), q, p, N)
+    return _subgroup_measures(_subgroup_sparse(q, N), q, p, N)
 
 
-def _subgroup_measures(T: OperatorMatrix, q: int, p: int,
+def _subgroup_measures(T: sparse.csr_array, q: int, p: int,
                        N: int) -> tuple[float, float]:
-    """subgroup_case_measures on a prebuilt T = subgroup_operator(q, N)."""
+    """subgroup_case_measures on a prebuilt T = _subgroup_sparse(q, N)."""
     lam, v = subgroup_eigenpair(q, p, N)
-    resid = float(np.abs(T.entries @ v - lam * v).max())
+    resid = float(np.abs(T @ v - lam * v).max())
     tail = float(np.abs(v[q + N // 2 :]).max())
     return resid, tail
 
@@ -318,15 +327,17 @@ def _case_no_daec_4x4(params: dict) -> list[Fact]:
 
 def _case_one_point_compactification(params: dict) -> list[Fact]:
     N = int(params.get("N", 64))
-    T = compactification_operator(N)
+    T = _compactification_sparse(N)
     row = continuity_constraint(N)
+    tol = 1e-8
     facts = []
 
-    dim_i, basis_i, _ = constrained_kernel(T, 1j, row)
+    dim_i, basis_i, _ = _constrain(_compactification_kernel(N, 1j, tol),
+                                   row, tol)
     # the stated eigenfunction: (-i)^j on the group block, 0 elsewhere
-    g = np.zeros(T.dim, dtype=complex)
+    g = np.zeros(T.shape[0], dtype=complex)
     g[:4] = [(-1j) ** j for j in range(4)]
-    resid_op = float(np.abs(T.entries @ g - 1j * g).max())
+    resid_op = float(np.abs(T @ g - 1j * g).max())
     in_kernel = True
     if dim_i >= 1:
         c, *_ = np.linalg.lstsq(basis_i, g, rcond=None)
@@ -338,7 +349,8 @@ def _case_one_point_compactification(params: dict) -> list[Fact]:
         {"kernel_dim": dim_i, "residual": resid_op},
         {"kernel_dim": 1, "residual": 0.0}, "demonstration"))
 
-    dim_m, _, smin = constrained_kernel(T, -1.0, row)
+    dim_m, _, smin = _constrain(_compactification_kernel(N, -1.0, tol), row,
+                                tol)
     facts.append(_fact(
         "minus_one_not_eigenvalue", "-1 has trivial constrained kernel "
         "(continuity at infinity kills the alternating vector)",
@@ -431,7 +443,7 @@ def _case_subgroup_minus_one(params: dict) -> list[Fact]:
     if q not in (2, 3, 4, 6):
         raise ValueError("q must be one of 2, 3, 4, 6")
     tol = float(params.get("tol", 0.05))
-    T = subgroup_operator(q, N)
+    T = _subgroup_sparse(q, N)
     facts = []
     for p in range(1, q):
         resid, tail = _subgroup_measures(T, q, p, N)

@@ -27,7 +27,7 @@ __all__ = [
     "CyclicResult",
     "is_cyclic",
     "DimVerdict",
-    "constrained_eigenspace_dim",
+    "constrained_kernel",
     "dim_estimate_check",
     "dim_estimate_verdicts",
     "dim_estimate_check_in_ideal",
@@ -284,21 +284,38 @@ def dim_estimate_verdicts(angle_dims: Sequence[tuple[float, int]],
     return out
 
 
-def constrained_eigenspace_dim(T: OperatorMatrix, value: complex,
-                               constraints: np.ndarray,
-                               tol: float = 1e-8) -> int:
-    """Dimension of ker(value - T) intersected with the null space of the
-    constraint rows (used to model decay/continuity conditions that a plain
-    truncation cannot express)."""
-    A = value * np.eye(T.dim) - T.entries
+def constrained_kernel(T: OperatorMatrix, lam: complex,
+                       constraints: np.ndarray,
+                       tol: float = 1e-8) -> tuple[int, np.ndarray, float]:
+    """Kernel of (lam - T) intersected with extra linear constraint rows
+    (used to model decay/continuity conditions that a plain truncation
+    cannot express).
+
+    The bare numerical kernel is computed first; the constraints are then
+    solved inside it.  Returns (dimension, basis columns, certificate):
+    the certificate is the smallest singular value of the constraint map
+    restricted to the bare kernel (bounded away from zero exactly when the
+    constraints kill the whole kernel), or of (lam - T) itself when the
+    bare kernel is already trivial."""
+    A = lam * np.eye(T.dim) - T.entries
     _, s, vh = np.linalg.svd(A)
-    V = vh[s <= tol * max(1.0, s[0])].conj().T
+    V = vh[s <= tol * max(1.0, s[0])].conj().T  # bare kernel, columns
     if V.shape[1] == 0:
-        return 0
+        return 0, V, float(s[-1])
+    return _constrain(V, constraints, tol)
+
+
+def _constrain(V: np.ndarray, constraints: np.ndarray,
+               tol: float) -> tuple[int, np.ndarray, float]:
+    """The constraint step of constrained_kernel on a nonempty bare kernel
+    with orthonormal columns V."""
     C = np.atleast_2d(constraints) @ V
-    sc = np.linalg.svd(C, compute_uv=False)
+    _, sc, vc = np.linalg.svd(C)
     sc = np.concatenate([sc, np.zeros(V.shape[1] - len(sc))])
-    return int((sc <= tol * max(1.0, sc[0] if sc.size else 0.0)).sum())
+    keep = sc <= tol * max(1.0, sc[0] if sc.size else 0.0)
+    basis = V @ vc[keep].conj().T
+    certificate = float(sc.min()) if sc.size else 0.0
+    return basis.shape[1], basis, certificate
 
 
 def dim_estimate_check(T: OperatorMatrix, tol: float = 1e-8,
@@ -320,8 +337,8 @@ def dim_estimate_check(T: OperatorMatrix, tol: float = 1e-8,
     if constraints is not None:
         pairs = [
             dataclasses.replace(
-                p, geo_mult=constrained_eigenspace_dim(T, p.value, constraints,
-                                                       tol=max(tol, 1e-8))
+                p, geo_mult=constrained_kernel(T, p.value, constraints,
+                                               tol=max(tol, 1e-8))[0]
             )
             for p in pairs
         ]

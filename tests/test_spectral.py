@@ -13,7 +13,7 @@ from perronlab.spectral import (
     _EPS,
     _cluster_eigenvalues,
     analyze,
-    constrained_eigenspace_dim,
+    constrained_kernel,
     daec_check,
     daec_check_adjoint,
     dim_estimate_check,
@@ -328,9 +328,9 @@ def test_dim_estimate_check_markov_pass_and_violation():
 def test_constrained_eigenspace_dim():
     T = op(np.diag([1.0, 1.0, 0.5]))
     C = np.array([[1.0, 0.0, 0.0]])
-    assert constrained_eigenspace_dim(T, 1.0, C) == 1
+    assert constrained_kernel(T, 1.0, C)[0] == 1
     C2 = np.eye(3)[:2]
-    assert constrained_eigenspace_dim(T, 1.0, C2) == 0
+    assert constrained_kernel(T, 1.0, C2)[0] == 0
 
 
 def test_dim_estimate_check_in_ideal():
