@@ -117,8 +117,7 @@ def _compactification_sparse(N: int) -> sparse.csr_array:
     return sparse.csr_array((data, (rows, cols)), shape=(n, n))
 
 
-def _compactification_kernel(N: int, lam: complex,
-                             tol: float = 1e-8) -> np.ndarray:
+def _compactification_kernel(N: int, lam: complex) -> np.ndarray:
     """Orthonormal columns spanning ker(lam - T) for
     T = compactification_operator(N) and lam^4 = 1, read off the block
     structure instead of an SVD of the whole matrix.
@@ -129,13 +128,15 @@ def _compactification_kernel(N: int, lam: complex,
     vector f of lam - G carried down the ray by
     f(ray k) = lam^-(k+1) (f(1) + f(3))/2, plus the infinity node when
     lam = 1.  The group kernel comes from a 4x4 SVD with the cut rule of
-    constrained_kernel."""
+    constrained_kernel at tol = 1e-8; the singular values of lam - G are
+    {0, sqrt 2, sqrt 2, 2}, so the cut is far from every one of them."""
     if lam ** 4 != 1:
         raise ValueError("lam must be a fourth root of unity")
-    T = _compactification_sparse(N)
-    n = T.shape[0]
-    _, s, vh = np.linalg.svd(lam * np.eye(4) - T[:4, :4].toarray())
-    F = vh[s <= tol * max(1.0, s[0])].conj().T
+    n = N + 6
+    # the group block: G[j, (j - 1) % 4] = 1
+    G = np.roll(np.eye(4), -1, axis=1)
+    _, s, vh = np.linalg.svd(lam * np.eye(4) - G)
+    F = vh[s <= 1e-8 * max(1.0, s[0])].conj().T
     d = F.shape[1]
     # lam^-m = conj(lam)^(m mod 4), exact for the four roots of unity
     inv_powers = np.array([complex(lam).conjugate() ** m for m in range(4)])
@@ -329,11 +330,10 @@ def _case_one_point_compactification(params: dict) -> list[Fact]:
     N = int(params.get("N", 64))
     T = _compactification_sparse(N)
     row = continuity_constraint(N)
-    tol = 1e-8
     facts = []
 
-    dim_i, basis_i, _ = _constrain(_compactification_kernel(N, 1j, tol),
-                                   row, tol)
+    dim_i, basis_i, _ = _constrain(_compactification_kernel(N, 1j), row,
+                                   1e-8)
     # the stated eigenfunction: (-i)^j on the group block, 0 elsewhere
     g = np.zeros(T.shape[0], dtype=complex)
     g[:4] = [(-1j) ** j for j in range(4)]
@@ -349,8 +349,8 @@ def _case_one_point_compactification(params: dict) -> list[Fact]:
         {"kernel_dim": dim_i, "residual": resid_op},
         {"kernel_dim": 1, "residual": 0.0}, "demonstration"))
 
-    dim_m, _, smin = _constrain(_compactification_kernel(N, -1.0, tol), row,
-                                tol)
+    dim_m, _, smin = _constrain(_compactification_kernel(N, -1.0), row,
+                                1e-8)
     facts.append(_fact(
         "minus_one_not_eigenvalue", "-1 has trivial constrained kernel "
         "(continuity at infinity kills the alternating vector)",
