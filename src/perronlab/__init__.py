@@ -43,7 +43,6 @@ from .schemes import (
     check_ws1,
     check_ws2,
     check_ws3,
-    convolve,
     pole_order_at,
     ws_bounded_probe,
 )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeVector, NormTag, SpaceModel, entrywise_sup, modulus
-from .operators import OperatorMatrix, is_markov, op
+from .operators import OperatorMatrix, is_markov, numerical_rank, op
 
 __all__ = [
     "FixedSpaceHandle",
@@ -44,9 +44,8 @@ def _real_kernel_basis(A: np.ndarray, tol: float) -> np.ndarray:
     """Real row basis of ker(A) for real A, in reduced echelon form with
     max-abs pivoting (rows are pivot-normalized for canonical witnesses)."""
     _, s, vh = np.linalg.svd(A)
-    s = np.concatenate([s, np.zeros(A.shape[1] - s.shape[0])])
-    thresh = max(tol, A.shape[1] * _EPS * max(1.0, s[0] if s.size else 0.0) * 1e3)
-    kern = vh[s <= thresh]
+    c = A.shape[1] * _EPS * 1e3
+    kern = vh[numerical_rank(s, max(tol, c), c):]
     # the kernel of a real matrix splits into real and imaginary parts
     rows = np.vstack([kern.real, kern.imag])
     # reduced echelon form with leftmost-column pivoting: gives a canonical

@@ -17,7 +17,8 @@ from .fixedspace import fixed_space_handle, is_fixed_space_sublattice, \
     sup_in_fixed_space
 from .lattice import NormTag, vec
 from .operators import OperatorMatrix, ShiftMultSpec, cesaro_lower_bound, \
-    cesaro_mean, op, op_norm, power, shift_mult_block, symbol_power
+    cesaro_mean, numerical_rank, op, op_norm, power, shift_mult_block, \
+    symbol_power
 from .semigroup import SemigroupGrid, boundary_defect, \
     constant_one, generator_residual, grid_function, semigroup_apply
 from .spectral import _constrain, constrained_kernel, daec_check, \
@@ -136,7 +137,7 @@ def _compactification_kernel(N: int, lam: complex) -> np.ndarray:
     # the group block: G[j, (j - 1) % 4] = 1
     G = np.roll(np.eye(4), -1, axis=1)
     _, s, vh = np.linalg.svd(lam * np.eye(4) - G)
-    F = vh[s <= 1e-8 * max(1.0, s[0])].conj().T
+    F = vh[numerical_rank(s, 1e-8, 1e-8):].conj().T
     d = F.shape[1]
     # lam^-m = conj(lam)^(m mod 4), exact for the four roots of unity
     inv_powers = np.array([complex(lam).conjugate() ** m for m in range(4)])

@@ -21,6 +21,7 @@ __all__ = [
     "cesaro_mean",
     "power_sums",
     "spectral_radius",
+    "numerical_rank",
     "resolvent",
     "restrict_to_ideal",
     "ShiftMultSpec",
@@ -150,6 +151,15 @@ def cesaro_mean(T: OperatorMatrix, n: int) -> OperatorMatrix:
 
 def spectral_radius(T: OperatorMatrix) -> float:
     return float(np.abs(np.linalg.eigvals(T.entries)).max())
+
+
+def numerical_rank(s: np.ndarray, atol: float = 0.0, rtol: float = 0.0) -> int:
+    """How many of the nonincreasing singular values s exceed
+    max(atol, rtol * s[0]).  This is the one rule for which singular values
+    count as zero: vh[rank:] spans a kernel and u[:, :rank] a range."""
+    if s.size == 0:
+        return 0
+    return int((s > max(atol, rtol * s[0])).sum())
 
 
 def resolvent(T: OperatorMatrix, lam: complex) -> OperatorMatrix:

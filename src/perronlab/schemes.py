@@ -10,8 +10,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import LatticeVector, vector_norm
-from .operators import OperatorMatrix, op_norm, power_sums, spectral_radius
+from .operators import OperatorMatrix, numerical_rank, op_norm, power_sums, \
+    spectral_radius
 
 __all__ = [
     "Verdict",
@@ -22,16 +22,12 @@ __all__ = [
     "check_ws1",
     "check_ws2",
     "check_ws3",
-    "convolve",
     "apply_weight",
     "TailReport",
     "ProbeReport",
     "ws_bounded_probe",
     "weighted_scalar_sum",
-    "monotone_orbit_report",
-    "OrbitReport",
     "pole_order_at",
-    "numerical_rank",
 ]
 
 
@@ -231,23 +227,6 @@ def check_ws3(fam: SchemeFamily, k_max: int = 10, tol: float = 0.1) -> Verdict:
     return verdict
 
 
-def convolve(s: CoeffStream, t: CoeffStream) -> CoeffStream:
-    """Cauchy product of coefficient streams (product of the weights)."""
-
-    def coeff(k: int) -> float:
-        return float(sum(s.coeff(i) * t.coeff(k - i) for i in range(k + 1)))
-
-    tail = None
-    if s.tail_bound is not None and t.tail_bound is not None:
-        def tail(K: int) -> float:
-            # mass of the product beyond K is at most the mass either factor
-            # carries beyond K/2 (indices i + j > K force i > K/2 or j > K/2)
-            h = K // 2
-            return s.tail_bound(h) + t.tail_bound(h)
-
-    return CoeffStream(coeff, tail, f"({s.description}) * ({t.description})")
-
-
 @dataclass(frozen=True)
 class TailReport:
     """Truncation diagnostics for a weighted operator sum."""
@@ -349,52 +328,6 @@ def weighted_scalar_sum(fam: SchemeFamily, r_seq: Sequence[float], K: int
     return out
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    norms: tuple[float, ...]
-    monotone: bool
-    bounded_flag: bool
-
-
-def monotone_orbit_report(T: OperatorMatrix, x: LatticeVector, N: int,
-                          tol: float = 1e-10) -> OrbitReport:
-    """Norms of the orbit T^n x for a nonnegative x with Tx >= x."""
-    if x.model != T.model:
-        raise ValueError("model mismatch")
-    if np.max(np.abs(T.entries.imag)) > tol or T.entries.real.min() < -tol:
-        raise ValueError("T must be positive")
-    v = x.entries.real
-    if np.max(np.abs(x.entries.imag)) > tol or v.min() < -tol:
-        raise ValueError("x must be nonnegative")
-    if np.min(T.entries.real @ v - v) < -tol:
-        raise ValueError("orbit not monotone")
-    norms = []
-    cur = v.astype(float)
-    monotone = True
-    for _ in range(N + 1):
-        norms.append(vector_norm(cur, T.model.norm_tag))
-        nxt = T.entries.real @ cur
-        if np.min(nxt - cur) < -tol:
-            monotone = False
-        cur = nxt
-    arr = np.array(norms)
-    # bounded flag is heuristic: the observed tail stops growing
-    bounded = bool(arr[-1] <= arr[len(arr) // 2] * 1.05 + tol)
-    return OrbitReport(tuple(float(t) for t in norms), monotone, bounded)
-
-
-def numerical_rank(A: np.ndarray, rtol_factor: float = 1e3,
-                   s: np.ndarray | None = None) -> int:
-    """Dense numerical rank: singular values below n*eps*smax*rtol_factor
-    count as zero. s: the singular values of A, when already computed."""
-    if s is None:
-        s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    thresh = max(A.shape) * np.finfo(float).eps * s[0] * rtol_factor
-    return int((s > thresh).sum())
-
-
 def _pole_order(B: np.ndarray, cap: int) -> int:
     """Smallest m >= 1 with rank(B^m) = rank(B^(m+1)), at most cap: the
     resolvent pole order at lam when B = lam - T.
@@ -408,13 +341,13 @@ def _pole_order(B: np.ndarray, cap: int) -> int:
     noise = max(B.shape) * np.finfo(float).eps * 1e3
     s = np.linalg.svd(B, compute_uv=False)
     norm_b = s[0]
-    prev = numerical_rank(B, s=s)
+    prev = numerical_rank(s, rtol=noise)
     P = B
     for m in range(2, cap + 1):
         P = P @ B
         bound = noise * s[0] * norm_b
         s = np.linalg.svd(P, compute_uv=False)
-        rank = 0 if s[0] <= bound else numerical_rank(P, s=s)
+        rank = 0 if s[0] <= bound else numerical_rank(s, rtol=noise)
         if rank == prev:
             return m - 1
         if rank == 0:
@@ -423,10 +356,17 @@ def _pole_order(B: np.ndarray, cap: int) -> int:
     return cap
 
 
-def pole_order_at(T: OperatorMatrix, lam0: complex, tol: float = 1e-7) -> int:
+def pole_order_at(T: OperatorMatrix, lam0: complex) -> int:
     """Resolvent pole order at an eigenvalue: smallest m with
-    rank((lam0 - T)^m) = rank((lam0 - T)^(m+1)) (largest Jordan block)."""
-    eigs = np.linalg.eigvals(T.entries)
-    if np.min(np.abs(eigs - lam0)) > tol:
+    rank((lam0 - T)^m) = rank((lam0 - T)^(m+1)) (largest Jordan block).
+
+    lam0 is an eigenvalue when lam0 - T is rank deficient at the cut
+    n*eps*1e3 * (|lam0| + ||lam0 - T||_2), the rank chain's noise at the size
+    of T (||T||_2 is at most that sum).  A cut at ||lam0 - T||_2 alone would
+    read rounding as rank when T is lam0 times the identity up to rounding."""
+    n = T.dim
+    B = lam0 * np.eye(n) - T.entries
+    s = np.linalg.svd(B, compute_uv=False)
+    if numerical_rank(s, n * np.finfo(float).eps * 1e3 * (abs(lam0) + s[0])) == n:
         raise ValueError("lambda not in spectrum")
-    return _pole_order(lam0 * np.eye(T.dim) - T.entries, T.dim)
+    return _pole_order(B, n)

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .lattice import LatticeVector
-from .operators import OperatorMatrix, op_norm, resolvent, restrict_to_ideal
+from .operators import OperatorMatrix, numerical_rank, op_norm, resolvent, \
+    restrict_to_ideal
 from .schemes import _pole_order
 
 __all__ = [
@@ -128,10 +129,8 @@ def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair
         B = value * np.eye(n) - A
         thresh = max(1e-8 * scale, n * _EPS * scale * 1e3)
         _, s, vh = np.linalg.svd(B)
-        kern = vh[s <= thresh].conj().T
-        if kern.shape[1] == 0:
-            # fall back to the best near-null direction
-            kern = vh[-1:].conj().T
+        # at full rank, fall back to the best near-null direction
+        kern = vh[min(numerical_rank(s, thresh), n - 1):].conj().T
         geo = min(kern.shape[1], alg)
         basis = tuple(LatticeVector(kern[:, j], T.model) for j in range(geo))
         # the pole order is at most the algebraic multiplicity
@@ -299,7 +298,7 @@ def constrained_kernel(T: OperatorMatrix, lam: complex,
     bare kernel is already trivial."""
     A = lam * np.eye(T.dim) - T.entries
     _, s, vh = np.linalg.svd(A)
-    V = vh[s <= tol * max(1.0, s[0])].conj().T  # bare kernel, columns
+    V = vh[numerical_rank(s, tol, tol):].conj().T  # bare kernel, columns
     if V.shape[1] == 0:
         return 0, V, float(s[-1])
     return _constrain(V, constraints, tol)
@@ -312,9 +311,8 @@ def _constrain(V: np.ndarray, constraints: np.ndarray,
     C = np.atleast_2d(constraints) @ V
     _, sc, vc = np.linalg.svd(C)
     sc = np.concatenate([sc, np.zeros(V.shape[1] - len(sc))])
-    keep = sc <= tol * max(1.0, sc[0] if sc.size else 0.0)
-    basis = V @ vc[keep].conj().T
-    certificate = float(sc.min()) if sc.size else 0.0
+    basis = V @ vc[numerical_rank(sc, tol, tol):].conj().T
+    certificate = float(sc.min())
     return basis.shape[1], basis, certificate
 
 
@@ -406,8 +404,8 @@ def mean_ergodic_projection(T: OperatorMatrix, tol: float = 1e-9
     B = np.eye(n) - T.entries
     # column space of (1 - T): complement of the fixed space
     q, s, _ = np.linalg.svd(B)
-    rank = int((s > max(n * _EPS * max(1.0, s[0]) * 1e3, tol)).sum())
-    W = q[:, :rank]
+    c = n * _EPS * 1e3
+    W = q[:, :numerical_rank(s, max(tol, c), c)]
     M = np.linalg.solve(np.column_stack([U, W]), np.eye(n))
     P = U @ M[: U.shape[1], :]
     return OperatorMatrix(P, T.model), "ok"

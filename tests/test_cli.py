@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from perronlab.cli import _build_parser, _emit_json, main
 from perronlab.gallery import example_markov_3x3, remark_c0_operator
 from perronlab.operators import op
+from perronlab.sampling import plant_jordan
 
 
 @pytest.fixture
@@ -113,6 +114,15 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["spectrum", str(bad)]) == 2
     assert main(["gallery", "run", "unknown_case"]) == 2
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_ws_pole_order_planted_block(m, tmp_path, capsys):
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps(
+        plant_jordan(np.random.default_rng(m), 12, m).to_json()))
+    assert main(["ws", "pole-order", "--op", str(path), "--at", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pole_order"] == m
 
 
 def test_exit_code_solver_errors(swap_file, capsys):

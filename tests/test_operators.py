@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perronlab.lattice import NormTag, vec
 from perronlab.operators import (
@@ -13,6 +15,7 @@ from perronlab.operators import (
     identity,
     is_markov,
     is_positive,
+    numerical_rank,
     op,
     op_norm,
     power,
@@ -130,3 +133,106 @@ def test_direct_sum():
         direct_sum([identity(2), op(np.eye(2), NormTag.ONE)])
     with pytest.raises(ValueError):
         direct_sum([])
+
+
+# --- the singular-value cut -------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _rank_inputs(draw):
+    """A matrix and a tolerance: complex n <= 12, an exactly rank-deficient
+    product X Y, lam - T on a Jordan block at lam, or a wide constraint map
+    (fewer rows than columns)."""
+    kind = draw(st.sampled_from(["complex", "product", "jordan", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "complex":
+        A = cnormal(n, n)
+    elif kind == "product":
+        k = draw(st.integers(0, n - 1))
+        A = cnormal(n, k) @ cnormal(k, n)
+    elif kind == "jordan":
+        m = draw(st.integers(1, n))
+        lam = complex(draw(st.sampled_from([1.0, -1.0, 1j, 0.5])))
+        J = np.diag(np.concatenate([np.full(m, lam),
+                                    rng.uniform(0.1, 0.8, n - m)]))
+        J[np.arange(m - 1), np.arange(1, m)] = 1.0
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = lam * np.eye(n) - Q @ J @ Q.T
+    else:
+        A = cnormal(draw(st.integers(1, n)), n + draw(st.integers(1, 4)))
+    A = A * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-8, 1e-3]))
+    return A, tol
+
+
+def _clear_of(s, cut):
+    # a cut whose product is associated differently may differ by an ulp
+    return not np.any(np.abs(s - cut) <= 4 * np.spacing(cut))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rank_inputs())
+def test_numerical_rank_matches_each_old_cut(inp):
+    """numerical_rank gives the count of every inline cut it replaced (the
+    old expressions verbatim, as ranks)."""
+    A, tol = inp
+    k, d = A.shape
+    s = np.linalg.svd(A, compute_uv=False)
+    padded = np.concatenate([s, np.zeros(d - len(s))])
+
+    # constrained_kernel and gallery._compactification_kernel (square) and
+    # spectral._constrain (zero-padded, any shape)
+    keep = padded <= tol * max(1.0, padded[0] if padded.size else 0.0)
+    assert numerical_rank(s, tol, tol) == d - keep.sum()
+    assert numerical_rank(padded, tol, tol) == d - keep.sum()
+
+    # fixedspace._real_kernel_basis: zero-padded, on any shape
+    c = d * _EPS * 1e3
+    thresh = max(tol, d * _EPS * max(1.0, padded[0] if padded.size else 0.0)
+                 * 1e3)
+    if _clear_of(s, thresh):
+        old_rank = d - (padded <= thresh).sum()
+        assert numerical_rank(s, max(tol, c), c) == old_rank
+
+    if k != d:
+        return
+    n = d
+    # spectral.eigen, with its full-rank fallback to vh[-1:]
+    scale = max(1.0, float(np.abs(A).max()))
+    thresh = max(1e-8 * scale, n * _EPS * scale * 1e3)
+    _, s_uv, vh = np.linalg.svd(A)
+    old = vh[s_uv <= thresh]
+    if old.shape[0] == 0:
+        old = vh[-1:]
+    assert np.array_equal(vh[min(numerical_rank(s_uv, thresh), n - 1):], old)
+
+    # spectral.mean_ergodic_projection
+    cut = max(n * _EPS * max(1.0, s[0]) * 1e3, tol)
+    if _clear_of(s, cut):
+        c = n * _EPS * 1e3
+        assert numerical_rank(s, max(tol, c), c) == int((s > cut).sum())
+
+    # schemes.numerical_rank(A, rtol_factor=1e3, s=s), used by _pole_order
+    cut = max(A.shape) * _EPS * s[0] * 1e3
+    if _clear_of(s, cut):
+        old_rank = 0 if s[0] == 0.0 else int((s > cut).sum())
+        noise = max(A.shape) * _EPS * 1e3
+        assert numerical_rank(s, rtol=noise) == old_rank
+
+
+def test_numerical_rank_cut_is_strict():
+    s = np.array([2.0, 1.0, 0.5, 0.0])
+    assert numerical_rank(s) == 3
+    assert numerical_rank(s, atol=0.5) == 2
+    assert numerical_rank(s, rtol=0.25) == 2
+    assert numerical_rank(s, atol=0.75, rtol=0.25) == 2
+    assert numerical_rank(s, atol=0.1, rtol=0.5) == 1
+    assert numerical_rank(np.zeros(0), 1.0, 1.0) == 0
+    assert numerical_rank(np.zeros(3)) == 0

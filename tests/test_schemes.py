@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from perronlab.operators import cesaro_mean, op, op_norm, power_sums, \
-    spectral_radius
+from perronlab.operators import cesaro_mean, numerical_rank, op, op_norm, \
+    power_sums, spectral_radius
 from perronlab.schemes import (
     SchemeKind,
     Verdict,
@@ -14,14 +14,10 @@ from perronlab.schemes import (
     check_ws1,
     check_ws2,
     check_ws3,
-    convolve,
-    monotone_orbit_report,
-    numerical_rank,
     pole_order_at,
     weighted_scalar_sum,
     ws_bounded_probe,
 )
-from perronlab.lattice import vec
 
 ALL_KINDS = [SchemeKind.POWERS, SchemeKind.ABEL_NET, SchemeKind.ABEL_POWERS,
              SchemeKind.CESARO, SchemeKind.EXPONENTIAL]
@@ -50,16 +46,6 @@ def test_abel_net_coefficients_are_geometric():
     s = fam.stream(2.0)
     ks = np.arange(8)
     assert np.allclose(s.coeffs(7), 0.5 ** (ks + 1))
-
-
-def test_convolve_is_cauchy_product():
-    fam = builtin_scheme(SchemeKind.ABEL_NET, {"lambdas": (2.0, 3.0)})
-    s, t = fam.stream(2.0), fam.stream(3.0)
-    c = convolve(s, t)
-    K = 12
-    direct = np.convolve(s.coeffs(K), t.coeffs(K))[: K + 1]
-    assert np.allclose(c.coeffs(K), direct)
-    assert check_ws1(c, K=60) is Verdict.PASS
 
 
 def test_apply_weight_reproduces_cesaro():
@@ -95,21 +81,15 @@ def test_weighted_scalar_sum_validation():
         weighted_scalar_sum(fam, [1.0] * 3, K=10)
 
 
-def test_monotone_orbit_report():
-    T = op([[1.0, 1.0], [0.0, 1.0]])
-    x = vec([1.0, 1.0])
-    rep = monotone_orbit_report(T, x, N=10)
-    assert rep.monotone
-    assert not rep.bounded_flag
-    with pytest.raises(ValueError):
-        monotone_orbit_report(op([[0.5]]), vec([1.0]), N=5)
-
-
 def test_numerical_rank():
-    assert numerical_rank(np.zeros((3, 3))) == 0
-    assert numerical_rank(np.eye(3)) == 3
-    A = np.outer([1.0, 2, 3], [4.0, 5, 6])
-    assert numerical_rank(A) == 1
+    # the cut of the pole-order rank chain: n*eps*1e3 relative to s[0]
+    def rank(A):
+        s = np.linalg.svd(A, compute_uv=False)
+        return numerical_rank(s, rtol=A.shape[0] * np.finfo(float).eps * 1e3)
+
+    assert rank(np.zeros((3, 3))) == 0
+    assert rank(np.eye(3)) == 3
+    assert rank(np.outer([1.0, 2, 3], [4.0, 5, 6])) == 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -122,6 +102,34 @@ def test_pole_order_matches_jordan_block(m):
     assert pole_order_at(op(J), 1.0) == m
     with pytest.raises(ValueError):
         pole_order_at(op(J), 5.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12)
+       .filter(lambda sizes: sum(sizes) <= 12),
+       st.integers(0, 2**32 - 1))
+def test_pole_order_of_jordan_direct_sums(sizes, seed):
+    """Direct sums of Jordan blocks at 1 under an orthogonal similarity: the
+    pole order at 1 is the largest block, a rotated identity included."""
+    n = sum(sizes)
+    J = np.eye(n)
+    start = 0
+    for m in sizes:
+        for i in range(start, start + m - 1):
+            J[i, i + 1] = 1.0
+        start += m
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    assert pole_order_at(op(Q @ J @ Q.T), 1.0) == max(sizes)
+
+
+@pytest.mark.parametrize("A", [[[0, 1], [1, 0]], np.diag([1, 0.5, 0.25])],
+                         ids=["swap", "diag"])
+@pytest.mark.parametrize("delta", [1e-9, 1e-8, 1e-7])
+def test_pole_order_near_a_simple_eigenvalue_raises(A, delta):
+    # 1 + delta is within 1e-7 of the eigenvalue 1, but 1 + delta - T is
+    # nonsingular far above rounding: it is not an eigenvalue
+    with pytest.raises(ValueError, match="not in spectrum"):
+        pole_order_at(op(A), 1.0 + delta)
 
 
 @settings(deadline=None, max_examples=30)

@@ -12,6 +12,7 @@ from perronlab.operators import cesaro_mean, op
 from perronlab.spectral import (
     _EPS,
     _cluster_eigenvalues,
+    _constrain,
     analyze,
     constrained_kernel,
     daec_check,
@@ -331,6 +332,53 @@ def test_constrained_eigenspace_dim():
     assert constrained_kernel(T, 1.0, C)[0] == 1
     C2 = np.eye(3)[:2]
     assert constrained_kernel(T, 1.0, C2)[0] == 0
+
+
+def _constrained_kernel_ref(T, lam, constraints, tol=1e-8):
+    # constrained_kernel and its constraint step as written before the cut
+    # went behind operators.numerical_rank
+    A = lam * np.eye(T.dim) - T.entries
+    _, s, vh = np.linalg.svd(A)
+    V = vh[s <= tol * max(1.0, s[0])].conj().T
+    if V.shape[1] == 0:
+        return 0, V, float(s[-1])
+    return _constrain_ref(V, constraints, tol)
+
+
+def _constrain_ref(V, constraints, tol):
+    C = np.atleast_2d(constraints) @ V
+    _, sc, vc = np.linalg.svd(C)
+    sc = np.concatenate([sc, np.zeros(V.shape[1] - len(sc))])
+    keep = sc <= tol * max(1.0, sc[0] if sc.size else 0.0)
+    basis = V @ vc[keep].conj().T
+    certificate = float(sc.min()) if sc.size else 0.0
+    return basis.shape[1], basis, certificate
+
+
+def _same_result(got, ref):
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 12),
+       st.integers(1, 14), st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]))
+def test_constrained_kernel_matches_the_old_cut(seed, n, rank, rows, tol):
+    """Dimension, basis and certificate of constrained_kernel and _constrain
+    are bitwise those of the old inline cuts, on low-rank T (a kernel of
+    dimension n - rank at 0) and on generic T, with wide and tall constraint
+    maps."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n)
+    X = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    T = op(X @ rng.standard_normal((rank, n)))
+    C = rng.standard_normal((rows, n))
+    for lam in (0.0, 0.3 + 0.1j):
+        _same_result(constrained_kernel(T, lam, C, tol),
+                     _constrained_kernel_ref(T, lam, C, tol))
+    V, _ = np.linalg.qr(rng.standard_normal((n, rng.integers(1, n + 1))))
+    _same_result(_constrain(V, C, tol), _constrain_ref(V, C, tol))
 
 
 def test_dim_estimate_check_in_ideal():
