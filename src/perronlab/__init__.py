@@ -38,7 +38,6 @@ from .schemes import (
     SchemeFamily,
     SchemeKind,
     Verdict,
-    apply_weight,
     builtin_scheme,
     check_ws1,
     check_ws2,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fixedspace import f_modulus, fixed_space_handle, \
     is_fixed_space_sublattice, sup_in_fixed_space
-from .gallery import case_names, run_case
+from .gallery import CaseParamError, case_names, run_case
 from .lattice import vec
 from .operators import OperatorMatrix
 from .schemes import SchemeKind, builtin_scheme, pole_order_at, \
@@ -151,6 +151,9 @@ def _cmd_ws(args) -> int:
         order = pole_order_at(T, _parse_complex(args.at))
         _emit_json({"lambda": args.at, "pole_order": order}, args.json)
         return 0
+    if args.K < 0 or (args.count is not None and args.count < 1):
+        raise _InputError(f"need --K >= 0 and --count >= 1, got {args.K} "
+                          f"and {args.count}")
     fam = builtin_scheme(SchemeKind(args.scheme),
                          {"count": args.count} if args.count else None)
     if args.ws_command == "probe":
@@ -166,8 +169,11 @@ def _cmd_ws(args) -> int:
                       args.csv)
         return 0
     if args.ws_command == "scalar-sum":
-        powers = [float(np.abs(np.linalg.matrix_power(T.entries, k)).max())
-                  for k in range(args.K + 1)]
+        # the largest entry modulus of each of T^0..T^K, from one walk
+        powers, cur = [1.0], np.eye(T.dim, dtype=complex)
+        for _ in range(args.K):
+            cur = T.entries @ cur
+            powers.append(float(np.abs(cur).max()))
         powers = np.maximum.accumulate(powers).tolist()
         _emit_json({"sums": weighted_scalar_sum(fam, powers, args.K)},
                    args.json)
@@ -300,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError,
-            _InputError) as exc:
+            _InputError, CaseParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:

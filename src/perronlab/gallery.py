@@ -25,6 +25,7 @@ from .spectral import _constrain, constrained_kernel, daec_check, \
     daec_check_adjoint, eigen
 
 __all__ = [
+    "CaseParamError",
     "Fact",
     "CaseReport",
     "case_names",
@@ -40,6 +41,11 @@ __all__ = [
     "subgroup_eigenpair",
     "subgroup_case_measures",
 ]
+
+
+class CaseParamError(ValueError):
+    """A parameter value a case (or the operator it builds) rejects; the CLI
+    maps it to exit code 2, like any other input error."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ def compactification_operator(N: int) -> OperatorMatrix:
 def _compactification_sparse(N: int) -> sparse.csr_array:
     """compactification_operator(N) as a CSR matrix, one row per node."""
     if N < 2:
-        raise ValueError("N must be >= 2")
+        raise CaseParamError("N must be >= 2")
     n = 4 + (N + 1) + 1
     rows = np.concatenate([np.arange(4), [4, 4], np.arange(5, n)])
     cols = np.concatenate([(np.arange(4) - 1) % 4, [1, 3],
@@ -190,9 +196,9 @@ def subgroup_operator(q: int, N: int) -> OperatorMatrix:
 def _subgroup_sparse(q: int, N: int) -> sparse.csr_array:
     """subgroup_operator(q, N) as a CSR matrix, one row per coordinate."""
     if q < 2:
-        raise ValueError("q must be >= 2")
+        raise CaseParamError("q must be >= 2")
     if N < 4:
-        raise ValueError("N must be >= 4")
+        raise CaseParamError("N must be >= 4")
     n = q + N
     m = np.arange(1, N + 1)
     tail = q + m - 1
@@ -367,7 +373,7 @@ def _case_cesaro_unbounded_shift(params: dict) -> list[Fact]:
     h_max = int(params.get("h_max", 4))
     j_max = int(params.get("j_max", 6))
     if any(m not in (2, 3, 4) for m in m_list):
-        raise ValueError("m_list must be within {2, 3, 4}")
+        raise CaseParamError("m_list must be within {2, 3, 4}")
     m_list = tuple(int(m) for m in m_list)
     facts = []
 
@@ -442,7 +448,7 @@ def _case_subgroup_minus_one(params: dict) -> list[Fact]:
     q = int(params.get("q", 4))
     N = int(params.get("N", 256))
     if q not in (2, 3, 4, 6):
-        raise ValueError("q must be one of 2, 3, 4, 6")
+        raise CaseParamError("q must be one of 2, 3, 4, 6")
     tol = float(params.get("tol", 0.05))
     T = _subgroup_sparse(q, N)
     facts = []

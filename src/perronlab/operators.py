@@ -121,31 +121,45 @@ def power(T: OperatorMatrix, n: int) -> OperatorMatrix:
     return OperatorMatrix(np.linalg.matrix_power(T.entries, n), T.model)
 
 
-def power_sums(T: OperatorMatrix, rows: Sequence[np.ndarray]
-               ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Weighted power sums sum_k a[k] T^k, one for each coefficient row a,
-    from a single walk over T^0..T^L (L + 1 the length of the longest row),
-    and the norm of each power on the walk.  Every sum adds its terms in
-    index order, so it does not depend on the other rows beside it."""
-    length = max((len(a) for a in rows), default=0)
-    sums = [np.zeros((T.dim, T.dim), dtype=complex) for _ in rows]
-    norms = np.empty(length)
-    cur = np.eye(T.dim, dtype=complex)
-    for k in range(length):
+# doubles in the temporary a[k] * T^k of one chunk of rows: a cache budget
+_CHUNK_DOUBLES = 2 ** 15
+
+
+def power_sums(T: OperatorMatrix, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Weighted power sums sum_k a[k] T^k, one n x n slice per real
+    coefficient row a, from one walk over T^0..T^L (L + 1 the longest row).
+    Sorted longest first, the rows still active at power k are a prefix, and
+    they take a[k] T^k in chunks on the real view of the sums.  Every sum
+    adds its terms in index order with two roundings per entry, so it does
+    not depend on the other rows beside it."""
+    R, n = len(rows), T.dim
+    order = sorted(range(R), key=lambda i: -len(rows[i]))
+    ends = [len(rows[i]) for i in order]
+    C = np.zeros((R, ends[0] if R else 0))
+    for r, i in enumerate(order):
+        C[r, :ends[r]] = rows[i]
+    sums = np.zeros((R, n, n), dtype=complex)
+    flat = sums.view(float).reshape(R, 2 * n * n)
+    step = max(1, _CHUNK_DOUBLES // (2 * n * n))
+    active = R
+    cur = np.eye(n, dtype=complex)
+    for k in range(C.shape[1]):
         if k > 0:
             cur = T.entries @ cur
-        norms[k] = op_norm(OperatorMatrix(cur, T.model))
-        for acc, a in zip(sums, rows):
-            if k < len(a):
-                acc += a[k] * cur
-    return sums, norms
+        while ends[active - 1] <= k:
+            active -= 1
+        term = cur.view(float).reshape(-1)
+        for lo in range(0, active, step):
+            hi = min(lo + step, active)
+            flat[lo:hi] += C[lo:hi, k, None] * term
+    return sums[np.argsort(order)]
 
 
 def cesaro_mean(T: OperatorMatrix, n: int) -> OperatorMatrix:
     """(1/n) * sum_{k=0}^{n-1} T^k by accumulation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    (acc,), _ = power_sums(T, [np.ones(n)])
+    (acc,) = power_sums(T, [np.ones(n)])
     return OperatorMatrix(acc / n, T.model)
 
 

@@ -1,6 +1,5 @@
 """Analytic-weight calculus: coefficient streams, scheme families, the
-normalization/positivity/decay checks, truncated evaluation f(T) and the
-boundedness probes."""
+normalization/positivity/decay checks and the boundedness probes."""
 from __future__ import annotations
 
 import enum
@@ -22,8 +21,6 @@ __all__ = [
     "check_ws1",
     "check_ws2",
     "check_ws3",
-    "apply_weight",
-    "TailReport",
     "ProbeReport",
     "ws_bounded_probe",
     "weighted_scalar_sum",
@@ -99,12 +96,14 @@ def _abel_powers_stream(lam: float, j: int) -> CoeffStream:
     if j == 0:
         return _powers_stream(0)
 
-    def coeff(k: int, lam=lam, j=j) -> float:
-        # binomial(j+k-1, k) * (lam-1)^j / lam^(j+k), multiplicative recurrence
-        c = ((lam - 1.0) / lam) ** j
-        for i in range(1, k + 1):
-            c *= (j + i - 1) / i / lam
-        return c
+    # binomial(j+k-1, k) * (lam-1)^j / lam^(j+k), multiplicative recurrence;
+    # the products computed so far are kept, so a row of K+1 costs O(K)
+    prefix = [((lam - 1.0) / lam) ** j]
+
+    def coeff(k: int) -> float:
+        for i in range(len(prefix), k + 1):
+            prefix.append(prefix[-1] * ((j + i - 1) / i / lam))
+        return prefix[k]
 
     def tail_bound(K: int, lam=lam, j=j) -> float:
         # ratio a_{k+1}/a_k = (j+k)/(k+1)/lam; geometric tail once ratio < 1
@@ -228,35 +227,6 @@ def check_ws3(fam: SchemeFamily, k_max: int = 10, tol: float = 0.1) -> Verdict:
 
 
 @dataclass(frozen=True)
-class TailReport:
-    """Truncation diagnostics for a weighted operator sum."""
-
-    K: int
-    tail_mass: float | None
-    max_power_norm: float
-    tail_norm_proxy: float | None
-    power_growth: bool
-
-
-def apply_weight(T: OperatorMatrix, s: CoeffStream, K: int
-                 ) -> tuple[OperatorMatrix, TailReport]:
-    """Truncated weighted power sum  sum_{k<=K} a_k T^k.
-
-    Requires spectral radius <= 1 (up to 1e-4); the calculus is only used on
-    that normalization."""
-    r = spectral_radius(T)
-    # defective eigenvalues on the unit circle overshoot by ~eps^(1/m)
-    if r > 1.0 + 1e-4:
-        raise ValueError("spectral radius exceeds 1")
-    (acc,), norms = power_sums(T, [s.coeffs(K)])
-    max_norm = float(norms.max())
-    growth = bool(norms[-1] > 2.0 * max(1.0, norms[: max(1, K // 2)].max()))
-    mass = s.tail_bound(K) if s.tail_bound is not None else None
-    proxy = mass * max_norm if mass is not None else None
-    return OperatorMatrix(acc, T.model), TailReport(K, mass, max_norm, proxy, growth)
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Finite-prefix evidence about boundedness of {f_j(T)}; never a proof."""
 
@@ -276,6 +246,8 @@ def ws_bounded_probe(T: OperatorMatrix, fam: SchemeFamily, K: int = 200,
     decaying slope; so the probe compares the slope over the late window
     against the earlier one and calls growth only when a slope >= 0.5
     persists."""
+    if K < 0 or budget < 1:
+        raise ValueError(f"need K >= 0 and budget >= 1, got {K} and {budget}")
     r = spectral_radius(T)
     # defective eigenvalues on the unit circle overshoot by ~eps^(1/m)
     if r > 1.0 + 1e-4:
@@ -283,12 +255,12 @@ def ws_bounded_probe(T: OperatorMatrix, fam: SchemeFamily, K: int = 200,
     indices = fam.index_set[:budget]
     if fam.kind is SchemeKind.CESARO:
         # unit rows divided by their order reproduce the running mean exactly
-        sums, _ = power_sums(T, [np.ones(j) for j in indices])
+        sums = power_sums(T, [np.ones(j) for j in indices])
         sums = [acc / j for acc, j in zip(sums, indices)]
     else:
         # a row ends at its last nonzero coefficient: the walk stops there
-        sums, _ = power_sums(T, [np.trim_zeros(fam.stream(j).coeffs(K), "b")
-                                 for j in indices])
+        sums = power_sums(T, [np.trim_zeros(fam.stream(j).coeffs(K), "b")
+                              for j in indices])
     norms = [op_norm(OperatorMatrix(acc, T.model)) for acc in sums]
     arr = np.array(norms)
     n = len(arr)

@@ -153,9 +153,21 @@ _BAD_ENTRIES = {
     ["gallery", "run", "subgroup_minus_one", "--param", "N=abc"],
     ["gallery", "run", "cesaro_unbounded_shift", "--param", "m_list=2,x"],
     ["gallery", "run", "subgroup_minus_one", "--param", "N"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "q=5"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "N=2"],
+    ["gallery", "run", "one_point_compactification", "--param", "N=1"],
+    ["ws", "probe", "--scheme", "cesaro", "--op", "SWAP", "--K", "-5"],
+    ["ws", "probe", "--scheme", "cesaro", "--op", "SWAP", "--count", "0"],
+    ["ws", "probe", "--scheme", "cesaro", "--op", "SWAP", "--count", "-1"],
+    ["ws", "scalar-sum", "--scheme", "cesaro", "--op", "SWAP", "--K", "-1"],
+    ["ws", "scalar-sum", "--scheme", "cesaro", "--op", "SWAP", "--count",
+     "0"],
 ], ids=["vectors-token", "vector-token", "vector-length", "at", "n-range-token",
         "n-range-colon", "ragged-entries", "wrong-size", "nan-entry",
-        "inf-entry", "param-value", "param-list-element", "param-no-equals"])
+        "inf-entry", "param-value", "param-list-element", "param-no-equals",
+        "param-q-rejected", "param-N-rejected", "param-N-compactification",
+        "probe-K-negative", "probe-count-zero", "probe-count-negative",
+        "scalar-sum-K-negative", "scalar-sum-count-zero"])
 def test_exit_code_malformed_input(argv, tmp_path, swap_file, markov_file,
                                    capsys):
     files = {"SWAP": swap_file, "MARKOV": markov_file}
@@ -175,8 +187,8 @@ def test_gallery_param_single_number_is_a_list(capsys):
     out = json.loads(capsys.readouterr().out)
     lb = next(f for f in out["facts"] if f["id"] == "cesaro_norm_exceeds_bound")
     assert list(lb["measured"]) == ["2"]
-    # an m outside {2, 3, 4} is rejected by the case itself
-    assert main(argv + ["m_list=5"]) == 3
+    # an m outside {2, 3, 4} is rejected by the case itself: an input error
+    assert main(argv + ["m_list=5"]) == 2
 
 
 @pytest.mark.parametrize("value, measured", [("2.0", ["2"]),
@@ -192,7 +204,7 @@ def test_gallery_param_whole_float_m_list(value, measured, capsys):
 @pytest.mark.parametrize("value", ["2.5", "5"])
 def test_gallery_param_m_list_outside_the_case(value, capsys):
     argv = ["gallery", "run", "cesaro_unbounded_shift", "--param"]
-    assert main(argv + [f"m_list={value}"]) == 3
+    assert main(argv + [f"m_list={value}"]) == 2
     assert capsys.readouterr().err == \
         "error: m_list must be within {2, 3, 4}\n"
 

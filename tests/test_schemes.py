@@ -4,12 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from perronlab import operators
 from perronlab.operators import cesaro_mean, numerical_rank, op, op_norm, \
     power_sums, spectral_radius
 from perronlab.schemes import (
     SchemeKind,
     Verdict,
-    apply_weight,
     builtin_scheme,
     check_ws1,
     check_ws2,
@@ -48,14 +48,41 @@ def test_abel_net_coefficients_are_geometric():
     assert np.allclose(s.coeffs(7), 0.5 ** (ks + 1))
 
 
-def test_apply_weight_reproduces_cesaro():
-    T = op([[0, 1], [1, 0]])
+def test_abel_powers_coefficients_match_the_product_loop():
+    """coeff(k) carries the recurrence: the same IEEE products as restarting
+    from ((lam-1)/lam)^j and multiplying k factors, in any call order."""
+    def loop(lam, j, k):
+        c = ((lam - 1.0) / lam) ** j
+        for i in range(1, k + 1):
+            c *= (j + i - 1) / i / lam
+        return c
+
+    def tail(lam, j, K):
+        q = (j + K + 1) / (K + 2) / lam
+        return 1.0 if q >= 1.0 else loop(lam, j, K + 1) / (1.0 - q)
+
+    K = 300
+    for lam in (1.01, 1.5, 2.0, 3.0, 7.3):
+        fam = builtin_scheme(SchemeKind.ABEL_POWERS, {"lam": lam, "count": 40})
+        for j in range(1, 40):
+            ref = [loop(lam, j, k) for k in range(K + 1)]
+            s = fam.stream(j)
+            assert s.coeffs(K).tolist() == ref
+            assert [s.tail_bound(k) for k in (0, 7, K)] == \
+                [tail(lam, j, k) for k in (0, 7, K)]
+            fresh = fam.stream(j)
+            assert (fresh.coeff(250), fresh.coeff(3)) == (ref[250], ref[3])
+            assert fam.stream(j).tail_bound(K) == tail(lam, j, K)
+
+
+def test_ws_bounded_probe_rejects_bad_arguments():
     fam = builtin_scheme(SchemeKind.CESARO)
-    fT, rep = apply_weight(T, fam.stream(4), K=10)
-    assert np.allclose(fT.entries, 0.5 * np.ones((2, 2)))
-    assert rep.tail_mass == 0.0
+    swap = op([[0, 1], [1, 0]])
+    for K, budget in ((-1, 20), (200, 0), (200, -1)):
+        with pytest.raises(ValueError, match="need K >= 0 and budget >= 1"):
+            ws_bounded_probe(swap, fam, K=K, budget=budget)
     with pytest.raises(ValueError):
-        apply_weight(op([[2.0]]), fam.stream(4), K=10)
+        ws_bounded_probe(op([[2.0]]), fam)
 
 
 def test_ws_bounded_probe_verdicts():
@@ -195,11 +222,8 @@ def test_probe_norms_match_a_walk_per_index(kind, K, T):
 def test_power_sums_rows_of_different_lengths():
     T = op([[0.5, 0.5], [0.2, 0.8]])
     a, b = np.array([0.5, 0.25, 0.25]), np.array([1.0])
-    (sa, sb), norms = power_sums(T, [a, b])
-    assert norms.shape == (3,)
-    # a stochastic matrix: every power has sup norm 1
-    assert np.allclose(norms, 1.0)
-    assert np.array_equal(sa, power_sums(T, [a])[0][0])
+    sa, sb = power_sums(T, [a, b])
+    assert np.array_equal(sa, power_sums(T, [a])[0])
     assert np.array_equal(sb, np.eye(2))
     expected = 0.5 * np.eye(2) + 0.25 * T.entries + 0.25 * T.entries @ T.entries
     assert np.allclose(sa, expected)
@@ -207,14 +231,67 @@ def test_power_sums_rows_of_different_lengths():
 
 def test_power_sums_all_zero_row():
     T = op([[0.0, 1.0], [1.0, 0.0]])
-    (s0, s1), norms = power_sums(T, [np.zeros(0), np.zeros(4)])
-    assert norms.shape == (4,)
+    s0, s1 = power_sums(T, [np.zeros(0), np.zeros(4)])
     assert not s0.any() and not s1.any()
+    assert power_sums(T, []).shape == (0, 2, 2)
     # powers beyond K have no coefficient in 0..K: their sum is zero
     fam = builtin_scheme(SchemeKind.POWERS, {"count": 14})
     rep = ws_bounded_probe(T, fam, K=10, budget=14)
     assert rep.norms[11:] == (0.0, 0.0, 0.0)
     assert rep.norms[:11] == (1.0,) * 11
+
+
+def _power_sums_per_row(T, rows):
+    """The per-row walk power_sums replaced: one n x n accumulator per row,
+    a[k] * T^k added in index order while k < len(a)."""
+    length = max((len(a) for a in rows), default=0)
+    sums = [np.zeros((T.dim, T.dim), dtype=complex) for _ in rows]
+    cur = np.eye(T.dim, dtype=complex)
+    for k in range(length):
+        if k > 0:
+            cur = T.entries @ cur
+        for acc, a in zip(sums, rows):
+            if k < len(a):
+                acc += a[k] * cur
+    return sums
+
+
+_finite = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def _operators_and_rows(draw):
+    """Real or complex T with n <= 40 and up to 24 rows of lengths 0..30,
+    some of them all zero."""
+    n = draw(st.integers(1, 40))
+    A = draw(arrays(np.float64, (n, n), elements=_finite))
+    if draw(st.booleans()):
+        A = A + 1j * draw(arrays(np.float64, (n, n), elements=_finite))
+    rows = draw(st.lists(st.one_of(
+        st.integers(0, 30).map(np.zeros),
+        arrays(np.float64, st.integers(0, 30),
+               elements=st.floats(-1e3, 1e3, allow_subnormal=False))),
+        max_size=24))
+    return op(A / max(1.0, np.abs(A).sum(axis=1).max())), rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(_operators_and_rows())
+def test_power_sums_is_the_per_row_walk_bit_for_bit(case):
+    T, rows = case
+    sums = power_sums(T, rows)
+    assert sums.shape == (len(rows), T.dim, T.dim)
+    refs = _power_sums_per_row(T, rows)
+    for got, ref in zip(sums, refs):
+        assert got.tobytes() == ref.tobytes()
+    # the same with one row per chunk, as at n >= 91
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_CHUNK_DOUBLES", 2 * T.dim ** 2)
+        for got, ref in zip(power_sums(T, rows), refs):
+            assert got.tobytes() == ref.tobytes()
+    # a sum does not depend on the rows beside it
+    for got, a in zip(sums, rows):
+        assert got.tobytes() == power_sums(T, [a])[0].tobytes()
 
 
 def test_cesaro_mean_is_the_running_sum():
