@@ -123,10 +123,12 @@ def _cmd_spectrum(args) -> int:
         from .gallery import c0_tail_constraints
         from .spectral import dim_estimate_check
 
-        verdicts = dim_estimate_check(
-            T, n_range=n_range,
-            constraints=c0_tail_constraints(T.dim, args.c0_tail),
-        )
+        try:
+            constraints = c0_tail_constraints(T.dim, args.c0_tail)
+        except ValueError as exc:
+            raise _InputError(f"--c0-tail {args.c0_tail}: {exc}") from exc
+        verdicts = dim_estimate_check(T, n_range=n_range,
+                                      constraints=constraints)
         _emit_json({"dim_verdicts": [v.to_json() for v in verdicts]},
                    args.json)
         return 0 if all(v.ok for v in verdicts) else 1

@@ -176,6 +176,26 @@ def numerical_rank(s: np.ndarray, atol: float = 0.0, rtol: float = 0.0) -> int:
     return int((s > max(atol, rtol * s[0])).sum())
 
 
+def _pole_order(B: np.ndarray, s: np.ndarray, vh: np.ndarray, atol: float,
+                cap: int) -> int:
+    """Resolvent pole order at lam for B = lam - T, given B's SVD (s, vh):
+    the number of nonzero steps of the Weyr staircase, at most cap.
+
+    A step takes the nullity of M (first M = B) under numerical_rank at atol
+    and compresses M onto its row space, M <- W M W^H with W = vh[:rank].
+    The nullities are dim ker B^k - dim ker B^(k-1), read without forming a
+    power of B, whose rounding would count as rank (Kagstrom & Ruhe 1980)."""
+    order = 0
+    while (rank := numerical_rank(s, atol)) < len(s):
+        order += 1
+        if order == cap:
+            break
+        W = vh[:rank]
+        B = W @ B @ W.conj().T
+        _, s, vh = np.linalg.svd(B)
+    return order
+
+
 def resolvent(T: OperatorMatrix, lam: complex) -> OperatorMatrix:
     """(lam - T)^(-1) by dense solve; rejects lam numerically in the spectrum."""
     A = lam * np.eye(T.dim) - T.entries

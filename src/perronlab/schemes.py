@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import OperatorMatrix, numerical_rank, op_norm, power_sums, \
+from .operators import OperatorMatrix, _pole_order, op_norm, power_sums, \
     spectral_radius
 
 __all__ = [
@@ -300,45 +300,21 @@ def weighted_scalar_sum(fam: SchemeFamily, r_seq: Sequence[float], K: int
     return out
 
 
-def _pole_order(B: np.ndarray, cap: int) -> int:
-    """Smallest m >= 1 with rank(B^m) = rank(B^(m+1)), at most cap: the
-    resolvent pole order at lam when B = lam - T.
-
-    B^m counts as zero, and so does every later power, when its largest
-    singular value is within the rounding error of the product that formed
-    it, n*eps*1e3 * ||B^(m-1)||_2 * ||B||_2; measured against its own size,
-    that noise would read as rank."""
-    if cap <= 1:
-        return 1
-    noise = max(B.shape) * np.finfo(float).eps * 1e3
-    s = np.linalg.svd(B, compute_uv=False)
-    norm_b = s[0]
-    prev = numerical_rank(s, rtol=noise)
-    P = B
-    for m in range(2, cap + 1):
-        P = P @ B
-        bound = noise * s[0] * norm_b
-        s = np.linalg.svd(P, compute_uv=False)
-        rank = 0 if s[0] <= bound else numerical_rank(s, rtol=noise)
-        if rank == prev:
-            return m - 1
-        if rank == 0:
-            return m
-        prev = rank
-    return cap
-
-
 def pole_order_at(T: OperatorMatrix, lam0: complex) -> int:
     """Resolvent pole order at an eigenvalue: smallest m with
-    rank((lam0 - T)^m) = rank((lam0 - T)^(m+1)) (largest Jordan block).
+    rank((lam0 - T)^m) = rank((lam0 - T)^(m+1)) (largest Jordan block), from
+    the Weyr staircase of one SVD of lam0 - T.
 
     lam0 is an eigenvalue when lam0 - T is rank deficient at the cut
-    n*eps*1e3 * (|lam0| + ||lam0 - T||_2), the rank chain's noise at the size
-    of T (||T||_2 is at most that sum).  A cut at ||lam0 - T||_2 alone would
-    read rounding as rank when T is lam0 times the identity up to rounding."""
+    n*eps*1e3 * (|lam0| + ||lam0 - T||_2), rounding at the size of T
+    (||T||_2 is at most that sum); every step of the staircase uses the same
+    cut.  A cut at ||lam0 - T||_2 alone would read rounding as rank when T is
+    lam0 times the identity up to rounding."""
     n = T.dim
     B = lam0 * np.eye(n) - T.entries
-    s = np.linalg.svd(B, compute_uv=False)
-    if numerical_rank(s, n * np.finfo(float).eps * 1e3 * (abs(lam0) + s[0])) == n:
+    _, s, vh = np.linalg.svd(B)
+    order = _pole_order(B, s, vh,
+                        n * np.finfo(float).eps * 1e3 * (abs(lam0) + s[0]), n)
+    if order == 0:
         raise ValueError("lambda not in spectrum")
-    return _pole_order(B, n)
+    return order

@@ -14,9 +14,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .lattice import LatticeVector
-from .operators import OperatorMatrix, numerical_rank, op_norm, resolvent, \
-    restrict_to_ideal
-from .schemes import _pole_order
+from .operators import OperatorMatrix, _pole_order, numerical_rank, op_norm, \
+    resolvent, restrict_to_ideal
 
 __all__ = [
     "EigenPair",
@@ -114,7 +113,7 @@ def _cluster_eigenvalues(w: np.ndarray, scale: float,
 
 def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair]:
     """All eigenvalues with algebraic/geometric multiplicities, geometric
-    bases (via SVD kernels) and resolvent pole orders (rank stabilization)."""
+    bases (via SVD kernels) and resolvent pole orders (Weyr staircase)."""
     A = T.entries
     n = T.dim
     w = np.linalg.eigvals(A)
@@ -133,8 +132,11 @@ def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair
         kern = vh[min(numerical_rank(s, thresh), n - 1):].conj().T
         geo = min(kern.shape[1], alg)
         basis = tuple(LatticeVector(kern[:, j], T.model) for j in range(geo))
-        # the pole order is at most the algebraic multiplicity
-        pairs.append(EigenPair(value, alg, geo, basis, _pole_order(B, alg)))
+        # the kernel's SVD is the staircase's first step; the pole order is
+        # at most the algebraic multiplicity (a simple eigenvalue takes no
+        # further SVD) and, like geo, at least 1
+        pole = max(1, _pole_order(B, s, vh, thresh, alg))
+        pairs.append(EigenPair(value, alg, geo, basis, pole))
     pairs.sort(key=lambda p: (-abs(p.value), cmath.phase(p.value)))
     return pairs
 

@@ -162,15 +162,29 @@ _BAD_ENTRIES = {
     ["ws", "scalar-sum", "--scheme", "cesaro", "--op", "SWAP", "--K", "-1"],
     ["ws", "scalar-sum", "--scheme", "cesaro", "--op", "SWAP", "--count",
      "0"],
+    ["gallery", "run", "one_point_compactification", "--param", "N=3,4"],
+    ["gallery", "run", "fixed_space_3x3", "--param", "tol=1,2"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "tol=1,2"],
+    ["gallery", "run", "markov_semigroup", "--param", "t=-1"],
+    ["gallery", "run", "markov_semigroup", "--param", "M=6"],
+    ["gallery", "run", "cesaro_unbounded_shift", "--param", "h_max=-1"],
+    ["spectrum", "C0", "--dim-check", "--c0-tail", "100"],
+    ["spectrum", "C0", "--dim-check", "--c0-tail", "-3"],
 ], ids=["vectors-token", "vector-token", "vector-length", "at", "n-range-token",
         "n-range-colon", "ragged-entries", "wrong-size", "nan-entry",
         "inf-entry", "param-value", "param-list-element", "param-no-equals",
         "param-q-rejected", "param-N-rejected", "param-N-compactification",
         "probe-K-negative", "probe-count-zero", "probe-count-negative",
-        "scalar-sum-K-negative", "scalar-sum-count-zero"])
+        "scalar-sum-K-negative", "scalar-sum-count-zero",
+        "param-N-list", "param-tol-list-fixed-space", "param-tol-list-subgroup",
+        "param-t-negative", "param-M-grid", "param-h_max-negative",
+        "c0-tail-above-dim", "c0-tail-negative"])
 def test_exit_code_malformed_input(argv, tmp_path, swap_file, markov_file,
                                    capsys):
-    files = {"SWAP": swap_file, "MARKOV": markov_file}
+    files = {"SWAP": swap_file, "MARKOV": markov_file,
+             "C0": str(tmp_path / "c0.json")}
+    # the compactification shift without its infinity node: 13 coordinates
+    (tmp_path / "c0.json").write_text(json.dumps(remark_c0_operator(8).to_json()))
     for name, entries in _BAD_ENTRIES.items():
         obj = op([[0, 1], [1, 0]]).to_json()
         obj["entries"] = entries

@@ -226,6 +226,17 @@ def test_compactification_smallest_sv_is_the_l2_value(N):
     assert abs(smin - expected) <= 2 * math.ulp(expected)
 
 
+@pytest.mark.parametrize("N", [1024, 16384])
+def test_compactification_passes_at_large_N(N):
+    # in the sup norm the continuity defect of the alternating kernel vector
+    # is 1 at every N, while its l2 value 1/sqrt(N+5) is far below 0.1
+    rep = run_case("one_point_compactification", {"N": N})
+    assert rep.passed
+    fact = next(f for f in rep.facts if f.id == "minus_one_not_eigenvalue")
+    assert abs(fact.measured["sup_defect"] - 1.0) <= 1e-13
+    assert fact.measured["smallest_sv"] < 0.1
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 6])
 def test_subgroup_sparse_residual_matches_the_dense_product(q):
     for N in (4, 37, 256):

@@ -219,7 +219,8 @@ def test_numerical_rank_matches_each_old_cut(inp):
         c = n * _EPS * 1e3
         assert numerical_rank(s, max(tol, c), c) == int((s > cut).sum())
 
-    # schemes.numerical_rank(A, rtol_factor=1e3, s=s), used by _pole_order
+    # schemes.numerical_rank(A, rtol_factor=1e3, s=s), the cut of the
+    # formed-power pole order chain that the staircase replaced
     cut = max(A.shape) * _EPS * s[0] * 1e3
     if _clear_of(s, cut):
         old_rank = 0 if s[0] == 0.0 else int((s > cut).sum())

@@ -96,6 +96,18 @@ def test_eigen_planted_jordan_block(m, seed):
     assert (p.alg_mult, p.geo_mult, p.pole_order) == (m, 1, m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_eigen_pole_order_is_pole_order_at(m):
+    # eigen runs the staircase from its kernel SVD at the cluster mean and
+    # the kernel cut; on blocks it clusters whole it gives pole_order_at's
+    # order at the planted eigenvalue
+    for s in range(40):
+        T = plant_jordan(np.random.default_rng(s), 12, m)
+        top = eigen(T)[0]
+        assert top.alg_mult == m, s
+        assert top.pole_order == pole_order_at(T, 1.0) == m, s
+
+
 def test_pole_order_when_cluster_fills_the_space():
     # J2 + J1 at 1 under an orthogonal similarity: (lam - T)^2 is zero up to
     # rounding, which must not count as rank
