@@ -91,11 +91,14 @@ def _fact(fid: str, ref: str, ok: bool, measured, expected, tag: str) -> Fact:
 
 
 def _number(params: dict, key: str, default, cast=float):
-    """A parameter the case reads as one number; a comma list is rejected
-    here instead of failing inside the cast."""
+    """A parameter the case reads as one number; a comma list, or a
+    non-integral value where the case reads an integer, is rejected here
+    instead of failing inside (or being truncated by) the cast."""
     value = params.get(key, default)
     if isinstance(value, (tuple, list)):
         raise CaseParamError(f"{key} takes one number, got {list(value)}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise CaseParamError(f"{key} must be an integer, got {value}")
     return cast(value)
 
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,20 +44,36 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class EigenPair:
+    """An eigenvalue with its multiplicities, pole order and geometric basis.
+
+    `_basis` holds the basis, or a function that computes it: `eigen` takes
+    no kernel SVD for a simple eigenvalue until its `basis` is first read."""
     value: complex
     alg_mult: int
     geo_mult: int
-    basis: tuple[LatticeVector, ...]
+    _basis: tuple[LatticeVector, ...] | Callable[[], tuple[LatticeVector, ...]] \
+        = field(compare=False, repr=False)
     pole_order: int
 
+    @property
+    def basis(self) -> tuple[LatticeVector, ...]:
+        if callable(self._basis):
+            object.__setattr__(self, "_basis", self._basis())
+        return self._basis
+
     def to_json(self) -> dict:
-        return {
-            "value": {"re": self.value.real, "im": self.value.imag},
-            "alg_mult": self.alg_mult,
-            "geo_mult": self.geo_mult,
-            "pole_order": self.pole_order,
-            "basis": [v.to_json() for v in self.basis],
-        }
+        return {**_pair_fields(self),
+                "basis": [v.to_json() for v in self.basis]}
+
+
+def _pair_fields(p: EigenPair) -> dict:
+    """An `EigenPair`'s JSON without its basis."""
+    return {
+        "value": {"re": p.value.real, "im": p.value.imag},
+        "alg_mult": p.alg_mult,
+        "geo_mult": p.geo_mult,
+        "pole_order": p.pole_order,
+    }
 
 
 def _cluster_eigenvalues(w: np.ndarray, scale: float,
@@ -113,7 +129,10 @@ def _cluster_eigenvalues(w: np.ndarray, scale: float,
 
 def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair]:
     """All eigenvalues with algebraic/geometric multiplicities, geometric
-    bases (via SVD kernels) and resolvent pole orders (Weyr staircase)."""
+    bases (via SVD kernels) and resolvent pole orders (Weyr staircase).
+
+    A simple eigenvalue has geo = pole = 1 without an SVD; its basis is
+    computed when first read, with the same bytes as an eager one."""
     A = T.entries
     n = T.dim
     w = np.linalg.eigvals(A)
@@ -121,22 +140,33 @@ def eigen(T: OperatorMatrix, cluster_tol: float | None = None) -> list[EigenPair
     scale = max(1.0, float(np.abs(A).max()))
     if cluster_tol is None:
         cluster_tol = 1e-7 * max(1.0, r)
+    thresh = max(1e-8 * scale, n * _EPS * scale * 1e3)
+
+    def kernel_svd(value: complex):
+        B = value * np.eye(n) - A
+        _, s, vh = np.linalg.svd(B)
+        # at full rank, fall back to the best near-null direction
+        kern = vh[min(numerical_rank(s, thresh), n - 1):].conj().T
+        return B, s, vh, kern
+
+    def basis(kern: np.ndarray, geo: int) -> tuple[LatticeVector, ...]:
+        return tuple(LatticeVector(kern[:, j], T.model) for j in range(geo))
+
     pairs = []
     for cluster in _cluster_eigenvalues(w, scale, cluster_tol):
         value = complex(np.mean(cluster))
         alg = len(cluster)
-        B = value * np.eye(n) - A
-        thresh = max(1e-8 * scale, n * _EPS * scale * 1e3)
-        _, s, vh = np.linalg.svd(B)
-        # at full rank, fall back to the best near-null direction
-        kern = vh[min(numerical_rank(s, thresh), n - 1):].conj().T
+        if alg == 1:
+            pairs.append(EigenPair(
+                value, 1, 1,
+                lambda value=value: basis(kernel_svd(value)[3], 1), 1))
+            continue
+        B, s, vh, kern = kernel_svd(value)
         geo = min(kern.shape[1], alg)
-        basis = tuple(LatticeVector(kern[:, j], T.model) for j in range(geo))
         # the kernel's SVD is the staircase's first step; the pole order is
-        # at most the algebraic multiplicity (a simple eigenvalue takes no
-        # further SVD) and, like geo, at least 1
+        # at most the algebraic multiplicity and, like geo, at least 1
         pole = max(1, _pole_order(B, s, vh, thresh, alg))
-        pairs.append(EigenPair(value, alg, geo, basis, pole))
+        pairs.append(EigenPair(value, alg, geo, basis(kern, geo), pole))
     pairs.sort(key=lambda p: (-abs(p.value), cmath.phase(p.value)))
     return pairs
 
@@ -169,9 +199,12 @@ class SpectralReport:
     dim_verdicts: tuple[DimVerdict, ...] = ()
 
     def to_json(self) -> dict:
+        per = {id(p) for p in self.peripheral}
         out = {
             "spectral_radius": self.spectral_radius,
-            "pairs": [p.to_json() for p in self.pairs],
+            # a basis is printed for the peripheral pairs only
+            "pairs": [p.to_json() if id(p) in per else _pair_fields(p)
+                      for p in self.pairs],
             "peripheral": [
                 {"re": p.value.real, "im": p.value.imag} for p in self.peripheral
             ],
@@ -203,6 +236,8 @@ def analyze(T: OperatorMatrix, band_tol: float = 1e-8, q_max: int = 64,
     pairs = eigen(T)
     r = max(abs(p.value) for p in pairs)
     per = peripheral_spectrum(pairs, band_tol * max(1.0, r))
+    for p in per:
+        p.basis  # the printed bases: their kernel SVDs run here
     cyc = is_cyclic([p.value for p in per], r, tol=max(tol, band_tol), q_max=q_max)
     verdicts = ()
     if dim_check:

@@ -170,6 +170,13 @@ _BAD_ENTRIES = {
     ["gallery", "run", "cesaro_unbounded_shift", "--param", "h_max=-1"],
     ["spectrum", "C0", "--dim-check", "--c0-tail", "100"],
     ["spectrum", "C0", "--dim-check", "--c0-tail", "-3"],
+    ["gallery", "run", "one_point_compactification", "--param", "N=64.7"],
+    ["gallery", "run", "one_point_compactification", "--param", "N=inf"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "q=4.5"],
+    ["gallery", "run", "subgroup_minus_one", "--param", "N=256.5"],
+    ["gallery", "run", "markov_semigroup", "--param", "M=256.5"],
+    ["gallery", "run", "cesaro_unbounded_shift", "--param", "h_max=2.5"],
+    ["gallery", "run", "cesaro_unbounded_shift", "--param", "j_max=3.5"],
 ], ids=["vectors-token", "vector-token", "vector-length", "at", "n-range-token",
         "n-range-colon", "ragged-entries", "wrong-size", "nan-entry",
         "inf-entry", "param-value", "param-list-element", "param-no-equals",
@@ -178,7 +185,10 @@ _BAD_ENTRIES = {
         "scalar-sum-K-negative", "scalar-sum-count-zero",
         "param-N-list", "param-tol-list-fixed-space", "param-tol-list-subgroup",
         "param-t-negative", "param-M-grid", "param-h_max-negative",
-        "c0-tail-above-dim", "c0-tail-negative"])
+        "c0-tail-above-dim", "c0-tail-negative", "param-N-non-integral",
+        "param-N-infinite", "param-q-non-integral",
+        "param-N-non-integral-subgroup", "param-M-non-integral",
+        "param-h_max-non-integral", "param-j_max-non-integral"])
 def test_exit_code_malformed_input(argv, tmp_path, swap_file, markov_file,
                                    capsys):
     files = {"SWAP": swap_file, "MARKOV": markov_file,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from perronlab.operators import cesaro_mean, op
+from perronlab.operators import cesaro_mean, numerical_rank, op
 from perronlab.spectral import (
     _EPS,
     _cluster_eigenvalues,
@@ -29,7 +29,7 @@ from perronlab.spectral import (
 )
 from perronlab.cli import main
 from perronlab.lattice import vec
-from perronlab.sampling import plant_jordan
+from perronlab.sampling import plant_jordan, random_nonneg
 from perronlab.schemes import pole_order_at
 
 SWAP = op([[0, 1], [1, 0]])
@@ -324,6 +324,96 @@ def test_analyze_report_json():
     out = rep.to_json()
     assert out["cyclic"]["verdict"] == "cyclic"
     assert all(v["ok"] for v in out["dim_verdicts"])
+
+
+def _eager_basis(T, p):
+    """The kernel basis `eigen` took up front for every pair: the first
+    p.geo_mult columns of the SVD kernel of value - T at eigen's cut."""
+    A, n = T.entries, T.dim
+    scale = max(1.0, float(np.abs(A).max()))
+    thresh = max(1e-8 * scale, n * _EPS * scale * 1e3)
+    _, s, vh = np.linalg.svd(p.value * np.eye(n) - A)
+    kern = vh[min(numerical_rank(s, thresh), n - 1):].conj().T
+    return kern[:, :p.geo_mult]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_basis_is_the_eager_kernel(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    inputs = [random_nonneg(rng, n),
+              plant_jordan(rng, n, int(rng.integers(2, n + 1))),
+              op(np.kron(np.eye(2), random_nonneg(rng, n // 2 + 1).entries))]
+    assert any(p.alg_mult > 1 for T in inputs[1:] for p in eigen(T))
+    for T in inputs:
+        for p in eigen(T):
+            got = np.column_stack([v.entries for v in p.basis])
+            want = _eager_basis(T, p)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert p.basis is p.basis  # computed once, then kept
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+# a 3-cycle next to two smaller eigenvalues: five distinct eigenvalues,
+# three of them peripheral, and 0.99 peripheral at --band-tol 0.05
+_CYCLE_PLUS = np.zeros((5, 5))
+_CYCLE_PLUS[[0, 1, 2], [1, 2, 0]] = 1.0
+_CYCLE_PLUS[3, 3], _CYCLE_PLUS[4, 4] = 0.99, 0.5
+
+
+def test_simple_eigenvalues_take_no_svd_until_read(svd_calls):
+    T = op(_CYCLE_PLUS)
+    pairs = eigen(T)
+    assert [p.alg_mult for p in pairs] == [1] * 5
+    assert len(svd_calls) == 0
+    rep = analyze(T, dim_check=True)
+    assert len(rep.peripheral) == 3
+    assert len(svd_calls) == 3  # one per peripheral pair
+    rep.to_json()
+    for p in rep.peripheral:
+        p.basis
+    assert len(svd_calls) == 3
+    pairs[-1].basis
+    assert len(svd_calls) == 4
+
+
+def test_multiple_eigenvalue_takes_its_svd_up_front(svd_calls):
+    (p,) = eigen(op(np.eye(3)))
+    assert len(svd_calls) >= 1  # the kernel, then the staircase
+    taken = len(svd_calls)
+    assert len(p.basis) == 3
+    assert len(svd_calls) == taken
+
+
+@pytest.mark.parametrize("band_tol, peripheral", [(None, 3), ("0.05", 4)])
+def test_spectrum_json_prints_peripheral_bases_only(band_tol, peripheral,
+                                                    tmp_path, capsys):
+    path = tmp_path / "T.json"
+    path.write_text(json.dumps(op(_CYCLE_PLUS).to_json()))
+    argv = ["spectrum", str(path)]
+    if band_tol is not None:
+        argv += ["--band-tol", band_tol]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    per = [(d["re"], d["im"]) for d in out["peripheral"]]
+    assert len(per) == peripheral
+    with_basis = [(p["value"]["re"], p["value"]["im"])
+                  for p in out["pairs"] if "basis" in p]
+    assert with_basis == per
+    assert len(out["pairs"]) == 5
 
 
 def test_dim_estimate_check_markov_pass_and_violation():
